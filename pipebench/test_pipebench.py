@@ -92,3 +92,17 @@ def test_fails_without_the_program(tmp_path):
                   "--trace", "0", cwd=tmp_path)
     assert proc.returncode != 0
     assert '"metrics"' not in proc.stdout
+
+
+def test_span_checks_catch_broken_nesting():
+    import tracing
+
+    good = [("cli.verify", 0.0, 10.0, -1), ("plan.refresh", 1.0, 4.0, 0),
+            ("plan.clone", 4.0, 9.0, 0)]
+    assert tracing.check_spans(good) == []
+    assert run.check_traced_total(10.0, [10.0]) == []
+    outside = [good[0], ("plan.refresh", 1.0, 11.0, 0)]
+    assert tracing.check_spans(outside)
+    overlapping = [good[0], ("plan.refresh", 1.0, 6.0, 0), ("plan.clone", 4.0, 9.0, 0)]
+    assert tracing.check_spans(overlapping)
+    assert run.check_traced_total(9.0, [10.0])

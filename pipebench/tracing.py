@@ -8,7 +8,12 @@ name, start, end and the index of the enclosing span.  Spans stay in
 memory; the caller writes them out when the run ends.  A layer's self
 time is its spans' duration minus the time covered by their direct
 child spans, so the self times of all spans sum to the duration of
-the root spans, which are the CLI commands.
+the root spans, which are the CLI commands.  ``check_spans`` checks
+the nesting that this rests on.
+
+``golden.golden_sign`` is counted, not spanned: it is wrapped in every
+module that calls it (``golden``, whose ``GoldenNumber.sign`` and
+comparisons call it, ``verifier`` and ``cli``).
 """
 
 from __future__ import annotations
@@ -38,6 +43,9 @@ CALL_SITES = (
     ("Verifier", "on_idle", "verifier.on_idle"),
     ("Verifier", "finalize", "verifier.finalize"),
 )
+
+# modules that call golden.golden_sign through a name of their own
+SIGN_CALLERS = ("golden", "verifier", "cli")
 
 # span name -> per-layer self-time metric; every span name has one, so
 # these metrics partition the traced pipeline time
@@ -143,21 +151,41 @@ class Tracer:
             original = vars(owner)[attr]
             self._saved.append((owner, attr, original))
             setattr(owner, attr, self._wrapped(name, original))
-        golden_number = pp.golden.GoldenNumber
-        sign = vars(golden_number)["sign"]
+        sign = pp.golden.golden_sign
         counts = self.counts
 
         def counted_sign(x):
             counts["sign_calls"] += 1
             return sign(x)
 
-        self._saved.append((golden_number, "sign", sign))
-        golden_number.sign = counted_sign
+        for module in SIGN_CALLERS:
+            owner = getattr(pp, module)
+            self._saved.append((owner, "golden_sign", vars(owner)["golden_sign"]))
+            owner.golden_sign = counted_sign
 
     def uninstall(self) -> None:
         while self._saved:
             owner, attr, original = self._saved.pop()
             setattr(owner, attr, original)
+
+
+def check_spans(spans: list) -> list[str]:
+    """Problems with the nesting of ``spans``: a span that ends before
+    it starts, lies outside its parent, or overlaps an earlier span with
+    the same parent.  Without these, self times can be wrong."""
+    problems = []
+    last_end: dict[int, float] = {}     # parent index -> end of its latest child
+    for i, (name, start, end, parent) in enumerate(spans):
+        if end < start:
+            problems.append(f"span {i} ({name}) ends before it starts")
+        if parent >= 0:
+            _, p_start, p_end, _ = spans[parent]
+            if not p_start <= start <= end <= p_end:
+                problems.append(f"span {i} ({name}) lies outside its parent span {parent}")
+        if start < last_end.get(parent, start):
+            problems.append(f"span {i} ({name}) overlaps an earlier sibling")
+        last_end[parent] = end
+    return problems
 
 
 def self_times(spans: list) -> tuple[dict[str, float], float]:

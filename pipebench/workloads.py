@@ -12,11 +12,13 @@ layer-to-metric mapping):
 - big-weights: operands thousands of digits long, no leaps, and traces
   of megabytes.
 
-Batch sizes are chosen so that one pass over a batch takes a few
-seconds, and so that seed-to-seed variation of the batch cost stays
-small: the random families use several instances per batch.  Shared
-hosts change speed by tens of percent over minutes, so a run needs
-tens of seconds, which leaves room for three workloads only.
+Instances have the shapes the workloads are about: a few hundred
+steps with over a hundred packets pending for dense-random, thousands
+of steps for short-window.  dense-random batches three instances, since
+its per-instance cost varies by about 15 percent from seed to seed.  One
+pass over the dense-random batch takes 13 to 20 seconds on a 2-vCPU
+host, the other batches 3 to 12 seconds; a run always makes at least
+two passes.
 """
 
 from __future__ import annotations
@@ -39,18 +41,18 @@ WORKLOADS = {
     for w in (
         Workload(
             "dense-random",
-            "uniform-random, 110 steps, 0-5 pkts/step, weights 1..10^6, 10 instances: windows "
-            "reach the horizon, ~50 pending; cost is weight comparisons, sort, offline search",
+            "uniform-random, 300 steps, 0-5 pkts/step, weights 1..10^6, 3 instances: windows "
+            "reach the horizon, ~130 pending; cost is weight comparisons, sort, offline search",
             "uniform-random",
-            dict(instances=10, steps=110, packets_per_step=5, weight_max=10**6),
+            dict(instances=3, steps=300, packets_per_step=5, weight_max=10**6),
             dict(instances=2, steps=12, packets_per_step=5, weight_max=10**6),
         ),
         Workload(
             "short-window",
-            "s-bounded span 8, 600 steps, 0-5 pkts/step, 3 instances: small pending set, "
+            "s-bounded span 8, 2000 steps, 0-5 pkts/step, 1 instance: small pending set, "
             "O(horizon) refresh; richest mix of proof cases and leap chains",
             "s-bounded",
-            dict(instances=3, steps=600, packets_per_step=5, weight_max=10**6, span=8),
+            dict(instances=1, steps=2000, packets_per_step=5, weight_max=10**6, span=8),
             dict(instances=2, steps=40, packets_per_step=5, weight_max=10**6, span=8),
         ),
         Workload(
