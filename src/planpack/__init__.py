@@ -2,7 +2,8 @@
 
 Library layout:
 
-- :mod:`planpack.golden` : arithmetic over Q[phi], tie-broken weights
+- :mod:`planpack.golden` : arithmetic over Q[phi], tie-broken weights,
+  integer weight scaling
 - :mod:`planpack.model` : packets, instances, validation, file I/O
 - :mod:`planpack.generators` : deterministic instance families
 - :mod:`planpack.plan` : the plan (max-weight feasible subset) engine
@@ -23,7 +24,7 @@ from planpack.golden import (
     PHI_INV3,
     TaggedWeight,
     TiebreakSource,
-    fresh_tiebreak,
+    WeightScale,
     golden,
     golden_mul,
     golden_sign,
@@ -38,7 +39,7 @@ __all__ = [
     "PHI_INV3",
     "TaggedWeight",
     "TiebreakSource",
-    "fresh_tiebreak",
+    "WeightScale",
     "golden",
     "golden_mul",
     "golden_sign",

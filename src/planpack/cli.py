@@ -20,7 +20,7 @@ import click
 
 from planpack import generators
 from planpack.generators import KINDS, GeneratorConfig
-from planpack.golden import PHI, format_golden, golden, golden_sign
+from planpack.golden import PHI, GoldenNumber, format_golden, golden, golden_sign
 from planpack.model import (
     Instance,
     InstanceSyntaxError,
@@ -151,6 +151,13 @@ def verify(instance_path: str, trace_path: str, comparison_path: str,
         result = verify_trace(inst, trace, comparison)
     except VerifierError as exc:
         raise click.ClickException(str(exc)) from exc
+    # the ledger's values are integers over the instance's common
+    # denominator; its rows show the rationals
+    rational = result.scale.rational
+
+    def golden_text(x: GoldenNumber) -> str:
+        return format_golden(result.scale.golden(x))
+
     if out_path is not None:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
@@ -158,10 +165,10 @@ def verify(instance_path: str, trace_path: str, comparison_path: str,
             for rep in result.reports:
                 writer.writerow((
                     rep.index, rep.time, rep.kind, rep.case, rep.detail,
-                    _display(rep.advgain), _display(rep.dweights),
-                    format_golden(rep.dpsi_adv), format_golden(rep.dpsi_initseg),
-                    format_golden(rep.dpsi_window), format_golden(rep.dpsi_total),
-                    format_golden(rep.psi_after), format_golden(rep.margin),
+                    _display(rational(rep.advgain)), _display(rational(rep.dweights)),
+                    golden_text(rep.dpsi_adv), golden_text(rep.dpsi_initseg),
+                    golden_text(rep.dpsi_window), golden_text(rep.dpsi_total),
+                    golden_text(rep.psi_after), golden_text(rep.margin),
                 ))
     s = result.summary
     click.echo(

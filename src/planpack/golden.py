@@ -1,17 +1,26 @@
-"""Exact arithmetic over the golden-ratio field Q[phi].
+"""Exact arithmetic over the golden-ratio field Q[phi], and exact weights.
 
 Every quantity the analysis machinery compares has the form a + b*phi
 with rational a, b, where phi = (1 + sqrt 5)/2.  Signs of such numbers
 are decided by rational arithmetic alone, so each inequality check in
 the verifier is a binary, tolerance-free verdict.
+
+Inside a run the rationals are integers: every weight a run holds is an
+input weight or 0, and every other quantity is a sum of weights, so
+multiplying all of them by the instance's common denominator D (see
+:class:`WeightScale`) makes every weight an int and every golden number
+a pair of ints in units of 1/D.  Comparisons are then integer
+comparisons.  Rationals reappear only where values are read from or
+written to text.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Iterable, NamedTuple, Union
 
 Q = Fraction
 
@@ -26,26 +35,23 @@ def _sign(q: Fraction | int) -> int:
 class GoldenNumber:
     """Element a + b*phi of Q[phi], normalized via phi**2 = phi + 1.
 
+    The coefficients are ints or Fractions.  Inside a run they are ints
+    in units of 1/D, the run's common weight denominator, so the
+    arithmetic stays in integers; :meth:`WeightScale.golden` turns such
+    a number back into the rational one it stands for.
+
     Closed under +, -, * and division by a rational scalar.  Ordering
     dunders compare exactly through :func:`golden_sign`.
     """
 
-    a: Fraction
-    b: Fraction
-
-    @classmethod
-    def of(cls, a: Scalar = 0, b: Scalar = 0) -> "GoldenNumber":
-        return cls(Fraction(a), Fraction(b))
-
-    @property
-    def is_rational(self) -> bool:
-        return self.b == 0
+    a: Scalar
+    b: Scalar
 
     @staticmethod
     def _coerce(other: "GoldenNumber | Scalar") -> "GoldenNumber":
         if isinstance(other, GoldenNumber):
             return other
-        return GoldenNumber(Fraction(other), Fraction(0))
+        return GoldenNumber(other, 0)
 
     def __add__(self, other: "GoldenNumber | Scalar") -> "GoldenNumber":
         o = self._coerce(other)
@@ -67,12 +73,10 @@ class GoldenNumber:
     def __mul__(self, other: "GoldenNumber | Scalar") -> "GoldenNumber":
         if isinstance(other, GoldenNumber):
             return golden_mul(self, other)
-        q = Fraction(other)
-        return GoldenNumber(self.a * q, self.b * q)
+        return GoldenNumber(self.a * other, self.b * other)
 
     def __rmul__(self, other: Scalar) -> "GoldenNumber":
-        q = Fraction(other)
-        return GoldenNumber(self.a * q, self.b * q)
+        return GoldenNumber(self.a * other, self.b * other)
 
     def __truediv__(self, other: Scalar) -> "GoldenNumber":
         q = Fraction(other)
@@ -98,7 +102,7 @@ class GoldenNumber:
 
 
 def golden(a: Scalar = 0, b: Scalar = 0) -> GoldenNumber:
-    return GoldenNumber(Fraction(a), Fraction(b))
+    return GoldenNumber(a, b)
 
 
 ZERO = golden(0)
@@ -138,26 +142,68 @@ def golden_mul(x: GoldenNumber, y: GoldenNumber) -> GoldenNumber:
     return GoldenNumber(a1 * a2 + b1 * b2, a1 * b2 + a2 * b1 + b1 * b2)
 
 
-@dataclass(frozen=True, slots=True, order=True)
-class TaggedWeight:
-    """A packet weight: rational base value plus an order-only tiebreak.
+class TaggedWeight(NamedTuple):
+    """A packet weight: integer base value plus an order-only tiebreak.
 
-    The total order is lexicographic (value, tiebreak); tiebreaks make
-    all live weights distinct but carry no measure, so every reported
-    gain sums base values only.  Base values stay rational throughout a
-    run (the b-component of weights is always zero; phi enters only in
-    objectives and potentials), hence the Fraction field.
+    The base value is the weight times the run's common denominator D
+    (see :class:`WeightScale`), so it is an int, and the total order is
+    the tuple order (value, tiebreak).  Tiebreaks make all live weights
+    distinct but carry no measure, so every reported gain sums base
+    values only.  Every base value a run holds is an input weight or 0:
+    a bump copies an existing threshold, and virtual packets weigh 0.
     """
 
-    value: Fraction
+    value: int
     tiebreak: int
 
-    @property
-    def golden(self) -> GoldenNumber:
-        return GoldenNumber(self.value, Fraction(0))
 
-    def __str__(self) -> str:
-        return format_tagged(self)
+class WeightScale:
+    """The common denominator D of a collection of rational weights.
+
+    D is the lcm of the weights' denominators, 1 when they are all
+    integers.  ``scaled`` maps a rational w to the int w*D and
+    ``rational`` maps such an int back.  An input weight comes back
+    from a table built on first use; anything else, such as a sum, is
+    reduced from x/D.
+    """
+
+    __slots__ = ("denominator", "_weights", "_rationals")
+
+    def __init__(self, weights: Iterable[Fraction]) -> None:
+        self._weights = tuple(weights)
+        self._rationals: dict[int, Fraction] | None = None
+        self.denominator = math.lcm(*{w.denominator for w in self._weights})
+
+    def __eq__(self, other: object) -> bool:
+        # the table only caches x/D, so D alone fixes what a scale means
+        if not isinstance(other, WeightScale):
+            return NotImplemented
+        return self.denominator == other.denominator
+
+    def __hash__(self) -> int:
+        return hash(self.denominator)
+
+    def scaled(self, w: Scalar) -> int:
+        """w*D; ValueError unless w is a multiple of 1/D."""
+        k, r = divmod(self.denominator, w.denominator)
+        if r:
+            raise ValueError(
+                f"weight {format_rational(w)} is not a multiple of 1/{self.denominator}"
+            )
+        return w.numerator * k
+
+    def rational(self, x: int) -> Fraction:
+        """The exact rational x/D."""
+        if self.denominator == 1:
+            return Fraction(x)
+        if self._rationals is None:
+            self._rationals = {self.scaled(w): w for w in self._weights}
+        q = self._rationals.get(x)
+        return Fraction(x, self.denominator) if q is None else q
+
+    def golden(self, x: GoldenNumber) -> GoldenNumber:
+        """The golden number with rational coefficients that x stands for."""
+        return GoldenNumber(self.rational(x.a), self.rational(x.b))
 
 
 class TiebreakSource:
@@ -188,14 +234,6 @@ class TiebreakSource:
         dup._up = self._up
         dup._down = self._down
         return dup
-
-
-_default_source = TiebreakSource()
-
-
-def fresh_tiebreak() -> int:
-    """Process-global fresh(); simulations use their own TiebreakSource."""
-    return _default_source.fresh()
 
 
 def format_rational(q: Fraction) -> str:
@@ -230,15 +268,18 @@ def parse_golden(text: str) -> GoldenNumber:
     return GoldenNumber(parse_rational(m.group(1)), parse_rational(m.group(2)))
 
 
-def format_tagged(w: TaggedWeight) -> str:
-    return f"{format_rational(w.value)}({w.tiebreak:+d})"
+def format_tagged(w: TaggedWeight, scale: WeightScale) -> str:
+    """Text form of w, whose value is in scale's units."""
+    return f"{format_rational(scale.rational(w.value))}({w.tiebreak:+d})"
 
 
 _TAGGED_RE = re.compile(r"^(-?\d+/-?\d+)\(([+-]\d+)\)$")
 
 
-def parse_tagged(text: str) -> TaggedWeight:
+def parse_tagged(text: str, scale: WeightScale) -> TaggedWeight:
+    """Inverse of format_tagged; ValueError unless the value is a
+    multiple of 1/D."""
     m = _TAGGED_RE.match(text)
     if m is None:
         raise ValueError(f"bad tagged weight {text!r}")
-    return TaggedWeight(parse_rational(m.group(1)), int(m.group(2)))
+    return TaggedWeight(scale.scaled(parse_rational(m.group(1))), int(m.group(2)))

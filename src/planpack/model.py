@@ -1,7 +1,9 @@
 """Packets, instances, validation, and bit-exact file I/O.
 
 An instance is a finite list of packets (id, release, deadline, weight).
-Weights are exact rationals; the order-only tiebreaks that make weights
+Weights are exact rationals, in the file and in :class:`Packet`.  A run
+works on them as integers over the instance's common denominator
+(:attr:`Instance.scale`).  The order-only tiebreaks that make weights
 pairwise distinct are not part of the instance; they are assigned per
 run, in validation order, by :class:`planpack.golden.TiebreakSource`.
 """
@@ -12,9 +14,16 @@ import json
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable
 
-from planpack.golden import TaggedWeight, TiebreakSource, format_rational, parse_rational
+from planpack.golden import (
+    TaggedWeight,
+    TiebreakSource,
+    WeightScale,
+    format_rational,
+    parse_rational,
+)
 
 HORIZON_CAP_ENV = "SCHED_HORIZON_CAP"
 
@@ -68,6 +77,11 @@ class Instance:
     def by_id(self) -> dict[int, Packet]:
         return {p.id: p for p in self.packets}
 
+    @cached_property
+    def scale(self) -> WeightScale:
+        """The common denominator of the packet weights."""
+        return WeightScale(p.weight for p in self.packets)
+
 
 def validate(packets: Iterable[Packet]) -> Instance:
     ordered = sorted(packets, key=lambda p: (p.release, p.id))
@@ -97,12 +111,17 @@ def validate(packets: Iterable[Packet]) -> Instance:
 
 
 def tagged_weight_map(instance: Instance, source: TiebreakSource) -> dict[int, TaggedWeight]:
-    """Assign per-run tiebreaks: validation order, earliest heaviest.
+    """Each packet's weight as a run holds it: the integer weight*D of
+    the instance's scale, with a per-run tiebreak in validation order,
+    earliest heaviest.
 
     Must run before the source hands out any other sub-zero ranks so
     that later virtual packets sort below every input packet.
     """
-    return {p.id: TaggedWeight(p.weight, source.sub_zero()) for p in instance.packets}
+    scaled = instance.scale.scaled
+    return {
+        p.id: TaggedWeight(scaled(p.weight), source.sub_zero()) for p in instance.packets
+    }
 
 
 def parse_instance(text: str) -> Instance:

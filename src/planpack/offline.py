@@ -9,6 +9,8 @@ assignment is canonicalized independently of the matching the search
 happened to build: slots ascending, each filled with the admitted
 packet of smallest (deadline, id) available there, which is also how
 feasibility of a fixed set is decided everywhere else in this package.
+Weights are compared and summed as integers over the instance's common
+denominator; the schedule's total is a rational, as in its file.
 """
 
 from __future__ import annotations
@@ -54,8 +56,9 @@ class Schedule:
     def check_feasible(self, instance: Instance) -> None:
         """Raise ValueError unless every entry respects its packet's window."""
         by_id = instance.by_id()
+        scale = instance.scale
         seen: set[int] = set()
-        total = Fraction(0)
+        total = 0
         for slot, pid in self.assignment.items():
             if pid in seen:
                 raise ValueError(f"packet {pid} assigned twice")
@@ -67,9 +70,9 @@ class Schedule:
                 raise ValueError(
                     f"packet {pid} at slot {slot} outside [{p.release}, {p.deadline}]"
                 )
-            total += p.weight
-        if total != self.weight0:
-            raise ValueError(f"weight0 {self.weight0} != assigned total {total}")
+            total += scale.scaled(p.weight)
+        if scale.rational(total) != self.weight0:
+            raise ValueError(f"weight0 {self.weight0} != assigned total {scale.rational(total)}")
 
 
 def canonical_assignment(instance: Instance, ids: set[int]) -> dict[int, int] | None:
@@ -101,29 +104,46 @@ def optimal_schedule(instance: Instance) -> Schedule:
     weights = tagged_weight_map(instance, TiebreakSource())
     order = sorted(instance.packets, key=lambda p: weights[p.id], reverse=True)
     match: dict[int, int] = {}
-    windows = {p.id: (p.release, p.deadline) for p in instance.packets}
+    # each packet's slots, latest first
+    slots = {p.id: range(p.deadline, p.release - 1, -1) for p in instance.packets}
 
-    def augment(pid: int, visited: set[int]) -> bool:
-        r, d = windows[pid]
-        for slot in range(d, r - 1, -1):
-            if slot in visited:
-                continue
-            visited.add(slot)
-            occupant = match.get(slot)
-            if occupant is None or augment(occupant, visited):
-                match[slot] = pid
-                return True
+    def augment(root: int) -> bool:
+        """Depth-first search for an augmenting path from root.  pids[i]
+        is a packet on the path, untried[i] its slots not yet tried, and
+        path[i] the slot it is trying, held by pids[i + 1]."""
+        visited: set[int] = set()
+        pids = [root]
+        untried = [iter(slots[root])]
+        path: list[int] = []
+        while untried:
+            for slot in untried[-1]:
+                if slot in visited:
+                    continue
+                visited.add(slot)
+                path.append(slot)
+                occupant = match.get(slot)
+                if occupant is None:
+                    match.update(zip(path, pids))
+                    return True
+                pids.append(occupant)
+                untried.append(iter(slots[occupant]))
+                break
+            else:
+                untried.pop()
+                pids.pop()
+                if path:
+                    path.pop()
         return False
 
     admitted: set[int] = set()
-    total = Fraction(0)
+    total = 0
     for p in order:
-        if augment(p.id, set()):
+        if augment(p.id):
             admitted.add(p.id)
-            total += p.weight
+            total += weights[p.id].value
     assignment = canonical_assignment(instance, admitted)
     assert assignment is not None
-    return Schedule(assignment, total)
+    return Schedule(assignment, instance.scale.rational(total))
 
 
 def brute_force_opt(instance: Instance) -> Schedule:

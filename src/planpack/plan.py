@@ -26,13 +26,16 @@ slots in [t, tau] once plan packets with deadlines there are placed; it
 is 0 at tau = t - 1 by convention.  A slot is tight when its pslack is
 0.  Tight slots cut the horizon into segments; the first segment is the
 one that begins at t - 1.
+
+Weights are :class:`planpack.golden.TaggedWeight` values with integer
+base values (weights times the instance's common denominator), so
+every ordering decision here is an integer tuple comparison.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .golden import TaggedWeight, TiebreakSource
 
@@ -53,7 +56,7 @@ __all__ = [
 # Weight of the conceptual zero padding.  Its tiebreak sits below every
 # rank a TiebreakSource can hand out, so any materialized or input
 # packet outweighs it.
-ZERO_WEIGHT = TaggedWeight(Fraction(0), -(10**18))
+ZERO_WEIGHT = TaggedWeight(0, -(10**18))
 
 
 class PlanError(ValueError):
@@ -77,13 +80,14 @@ class PendingPacket:
     """A released, unexpired, untransmitted packet.
 
     weight and deadline are the current (possibly adjusted) values; the
-    original ones are kept for reporting.  Negative ids mark
-    materialized zero-weight packets.
+    original ones are kept for reporting.  Weights are integers in the
+    run's scaled units.  Negative ids mark materialized zero-weight
+    packets.
     """
 
     id: int
     release: int
-    original_weight: Fraction
+    original_weight: int
     original_deadline: int
     weight: TaggedWeight
     deadline: int
@@ -269,8 +273,8 @@ class PlanState:
     def plan_members(self) -> list[PendingPacket]:
         return [p for p in self.packets.values() if p.in_plan]
 
-    def plan_weight(self) -> Fraction:
-        return sum((p.weight.value for p in self.plan_members()), Fraction(0))
+    def plan_weight(self) -> int:
+        return sum(p.weight.value for p in self.plan_members())
 
     def lightest_initseg(self) -> PendingPacket | None:
         """Lightest plan packet in the first segment; None iff the plan is empty."""
@@ -373,8 +377,7 @@ class PlanState:
         if sub.packet is None:
             vid = self.source.sub_zero()
             rho = PendingPacket(
-                vid, self.t, Fraction(0), sub.deadline,
-                TaggedWeight(Fraction(0), vid), sub.deadline, in_plan=True,
+                vid, self.t, 0, sub.deadline, TaggedWeight(0, vid), sub.deadline, in_plan=True,
             )
             self.packets[vid] = rho
         else:

@@ -13,14 +13,17 @@ The greedy baseline transmits the heaviest pending packet (always a
 plan member) and adjusts no weights.  Both run through the same loop,
 which feeds arrivals to the plan, asks the policy for one transmission
 per slot, and logs a replayable trace.
+
+Weights are integers over the instance's common denominator; gains are
+summed as integers and turned into rationals once, for the result.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
+from numbers import Rational
 
-from .golden import GoldenNumber, PHI2, TaggedWeight, golden
+from .golden import GoldenNumber, PHI2, TaggedWeight, WeightScale, format_tagged, golden
 from .model import Instance, Packet, tagged_weight_map
 from .plan import PendingPacket, PlanState, SubstituteResult
 
@@ -100,16 +103,23 @@ class ScheduleEvent:
 
 @dataclass(slots=True)
 class RunTrace:
+    """The events of one run and its gain in original weights.
+
+    Event weights are in the units of ``scale``, the common denominator
+    of the arrivals' weights, which is the instance's.
+    """
+
     algorithm: str
-    events: list = field(default_factory=list)
-    gain0: Fraction = Fraction(0)
+    events: list
+    gain0: Rational
+    scale: WeightScale
 
 
 @dataclass(frozen=True, slots=True)
 class SchedulerResult:
     transmitted: tuple[tuple[int, int], ...]
-    gain0: Fraction
-    gain_current: Fraction
+    gain0: Rational
+    gain_current: Rational
 
 
 def _heaviest_pending(state: PlanState) -> PendingPacket | None:
@@ -230,7 +240,8 @@ def greedy_step(state: PlanState) -> tuple[PendingPacket, ScheduleEvent]:
 class _MonotonicityMonitor:
     """Tracks minwt per absolute slot across events; thresholds may only rise."""
 
-    def __init__(self) -> None:
+    def __init__(self, scale: WeightScale) -> None:
+        self.scale = scale
         self.seen: dict[int, TaggedWeight] = {}
 
     def observe(self, state: PlanState, context: str) -> None:
@@ -239,7 +250,8 @@ class _MonotonicityMonitor:
             before = self.seen.get(tau)
             if before is not None and now < before:
                 raise MonotonicityError(
-                    f"minwt({tau}) fell from {before} to {now} {context}"
+                    f"minwt({tau}) fell from {format_tagged(before, self.scale)} "
+                    f"to {format_tagged(now, self.scale)} {context}"
                 )
             self.seen[tau] = now
 
@@ -255,33 +267,34 @@ def run(
 
     state = PlanState(0, max(instance.sentinel, 0))
     weights = tagged_weight_map(instance, state.source)
-    monitor = _MonotonicityMonitor() if check_monotonicity else None
+    scale = instance.scale
+    monitor = _MonotonicityMonitor(scale) if check_monotonicity else None
 
-    trace = RunTrace(algorithm)
+    events: list = []
     transmitted: list[tuple[int, int]] = []
-    gain0 = Fraction(0)
-    gain_current = Fraction(0)
+    gain0 = 0
+    gain_current = 0
     arrivals = list(instance.packets)
     i = 0
     for t in range(0, instance.horizon + 1):
         while i < len(arrivals) and arrivals[i].release == t:
             p = arrivals[i]
             state.apply_arrival(p.id, p.release, p.deadline, weights[p.id])
-            trace.events.append(ArrivalEvent(t, p))
+            events.append(ArrivalEvent(t, p))
             if monitor is not None:
                 monitor.observe(state, f"after arrival of {p.id} at t={t}")
             i += 1
         if not state.packets:
             state.advance_idle()
-            trace.events.append(ScheduleEvent(t, None, "idle", None, {}))
+            events.append(ScheduleEvent(t, None, "idle", None, {}))
             continue
         scheduled, event = step(state)
-        trace.events.append(event)
+        events.append(event)
         transmitted.append((t, event.p_id))
         gain0 += scheduled.original_weight
         gain_current += scheduled.weight.value
         if monitor is not None:
             monitor.observe(state, f"after step at t={t}")
-    trace.gain0 = gain0
-    result = SchedulerResult(tuple(transmitted), gain0, gain_current)
+    trace = RunTrace(algorithm, events, scale.rational(gain0), scale)
+    result = SchedulerResult(tuple(transmitted), trace.gain0, scale.rational(gain_current))
     return result, trace

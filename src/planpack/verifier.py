@@ -23,6 +23,13 @@ backup slack) are re-checked after every event.  Any failure raises a
 
 The module never trusts the trace: the mirror recomputes every decision
 and the replay driver `verify_trace` rejects the first divergence.
+
+All accounting runs on integers: weights, gains and the coefficients of
+every golden number are in units of 1/D, D the instance's common weight
+denominator.  The per-event reports keep those units, and
+`VerificationResult.scale` turns them into the rationals they stand for;
+the summary totals, the public `Verifier.gain0`/`potential` and error
+messages are converted to rationals.
 """
 
 from __future__ import annotations
@@ -38,6 +45,7 @@ from .golden import (
     PHI_INV,
     PHI_INV2,
     ZERO,
+    WeightScale,
     format_golden,
     golden_sign,
 )
@@ -51,6 +59,7 @@ from .schedulers import (
     ScheduleEvent,
     planm_step,
 )
+from .trace_io import format_event, format_leap
 
 __all__ = [
     "VerifierError",
@@ -132,9 +141,9 @@ class RealEntry:
 
 @dataclass(frozen=True, slots=True)
 class ShadowEntry:
-    """Timetable slot owed a fixed weight; the packet reference is gone."""
+    """Timetable slot owed a fixed weight (scaled); the packet reference is gone."""
 
-    weight: Fraction
+    weight: int
     created_at: int
 
 
@@ -143,10 +152,11 @@ TimetableEntry = RealEntry | ShadowEntry
 
 @dataclass(frozen=True, slots=True)
 class AdversaryReport:
-    """Outcome of consuming the timetable entry at the current slot."""
+    """Outcome of consuming the timetable entry at the current slot, in
+    scaled units."""
 
     case: str
-    scheduled_weight: Fraction
+    scheduled_weight: int
     dpsi: GoldenNumber
     removed_furlough: int | None
 
@@ -169,24 +179,28 @@ class GroupDecomposition:
 
 @dataclass(frozen=True, slots=True)
 class EventReport:
+    """One ledger row; weights and golden numbers in scaled units."""
+
     index: int
     time: int
     kind: str
     case: str
     detail: str
-    advgain: Fraction
-    dweights: Fraction
+    advgain: int
+    dweights: int
     dpsi_adv: GoldenNumber
     dpsi_initseg: GoldenNumber
     dpsi_window: GoldenNumber
     dpsi_total: GoldenNumber
-    advgain_window: Fraction
+    advgain_window: int
     psi_after: GoldenNumber
     margin: GoldenNumber
 
 
 @dataclass(frozen=True, slots=True)
 class SummaryReport:
+    """Totals of an audit, as rationals."""
+
     events: int
     advgain_total: Fraction
     comparison_weight: Fraction
@@ -199,9 +213,14 @@ class SummaryReport:
 
 @dataclass(frozen=True, slots=True)
 class VerificationResult:
+    """The ledger and totals of an audit.  The ledger rows are in
+    scaled units, which ``scale`` maps to rationals; the summary is
+    already rational."""
+
     algorithm: str
     reports: tuple[EventReport, ...]
     summary: SummaryReport
+    scale: WeightScale
 
 
 def _pslack_floor(deadlines: Iterable[int], t: int, horizon_sentinel: int) -> tuple[int, int]:
@@ -277,16 +296,18 @@ class Verifier:
             raise InfeasibleComparison(str(exc)) from exc
         self.instance = instance
         self.comparison = comparison
+        self._scale = instance.scale
+        self._comparison_weight = self._scale.scaled(comparison.weight0)
         self._slot_of = {pid: slot for slot, pid in comparison.assignment.items()}
         self._state = PlanState(0, max(instance.sentinel, 0))
         self._weights = tagged_weight_map(instance, self._state.source)
         self._timetable: dict[int, TimetableEntry] = {}
         self._furloughed: set[int] = set()
         self._potential = ZERO
-        self._advgain_total = Fraction(0)
-        self._dweights_total = Fraction(0)
-        self._gain0 = Fraction(0)
-        self._gain_current = Fraction(0)
+        self._advgain_total = 0
+        self._dweights_total = 0
+        self._gain0 = 0
+        self._gain_current = 0
         self._event_index = 0
         self._reports: list[EventReport] = []
         self.mirror_events: list[ScheduleEvent] = []
@@ -309,8 +330,8 @@ class Verifier:
             event=self._event_index,
             time=self._state.t,
             case=case,
-            lhs=lhs,
-            rhs=rhs,
+            lhs=None if lhs is None else self._scale.golden(lhs),
+            rhs=None if rhs is None else self._scale.golden(rhs),
         )
 
     def _require_sign(self, value: GoldenNumber, case: str, what: str) -> None:
@@ -367,7 +388,7 @@ class Verifier:
         lo: int,
         hi: int,
         case: str,
-    ) -> tuple[int | None, Fraction]:
+    ) -> tuple[int | None, int]:
         """Earliest-deadline furlough with deadline in (lo, hi], ties by id.
 
         Falls back to consuming a zero-weight stand-in when the range
@@ -388,7 +409,7 @@ class Verifier:
             self._furloughed.remove(fid)
             return fid, reference.packets[fid].weight.value
         if hi >= self._state.sentinel:
-            return None, Fraction(0)
+            return None, 0
         self._fail(
             InvariantViolation,
             f"no furlough with deadline in ({lo}, {hi}]",
@@ -403,7 +424,7 @@ class Verifier:
         claimed: set[int],
         g_deadline: int,
         case: str,
-    ) -> tuple[int | None, Fraction]:
+    ) -> tuple[int | None, int]:
         """Release the furlough that covered a claimed plan packet.
 
         The packet g leaves the plan's obligations; the furlough that
@@ -451,8 +472,8 @@ class Verifier:
                     self._fail(
                         InvariantViolation,
                         f"placeholder at slot {slot} outweighs the plan threshold",
-                        lhs=GoldenNumber(entry.weight, Fraction(0)),
-                        rhs=GoldenNumber(limit, Fraction(0)),
+                        lhs=GoldenNumber(entry.weight, 0),
+                        rhs=GoldenNumber(limit, 0),
                     )
 
     def _scan_backup(self) -> None:
@@ -479,7 +500,7 @@ class Verifier:
     def _potential_scratch(self) -> GoldenNumber:
         state = self._state
         claimed = set(self._real_entries())
-        total = Fraction(0)
+        total = 0
         for fid in self._furloughed:
             total += state.packets[fid].weight.value
         for pid in state.plan_ids():
@@ -550,12 +571,12 @@ class Verifier:
         kind: str,
         case: str,
         detail: str,
-        advgain: Fraction,
-        dweights: Fraction,
+        advgain: int,
+        dweights: int,
         dpsi_adv: GoldenNumber,
         dpsi_initseg: GoldenNumber,
         dpsi_window: GoldenNumber,
-        advgain_window: Fraction,
+        advgain_window: int,
         margin: GoldenNumber,
     ) -> EventReport:
         report = EventReport(
@@ -597,7 +618,7 @@ class Verifier:
             packet.id, packet.release, packet.deadline, self._weights[packet.id]
         )
         in_comparison = packet.id in self._slot_of
-        w_j = packet.weight
+        w_j = self._weights[packet.id].value
         dpsi = ZERO
         detail_bits: list[str] = []
 
@@ -679,12 +700,12 @@ class Verifier:
             kind="arrival",
             case=case,
             detail=" ".join(detail_bits),
-            advgain=Fraction(0),
-            dweights=Fraction(0),
+            advgain=0,
+            dweights=0,
             dpsi_adv=ZERO,
             dpsi_initseg=ZERO,
             dpsi_window=dpsi,
-            advgain_window=Fraction(0),
+            advgain_window=0,
             margin=dpsi,
         )
         self._post_event_checks()
@@ -697,23 +718,24 @@ class Verifier:
         self,
         pre: PlanState,
         *,
-        p_weight: Fraction | None,
-        sub_weight: Fraction | None,
+        p_weight: int | None,
+        sub_weight: int | None,
     ) -> AdversaryReport:
         """Consume the timetable entry at the current slot, if any.
 
         Driven internally by the scheduling ops; exposed for tests.
         `p_weight` and `sub_weight` are the scheduled packet's weight
-        and its substitute's weight, used to bound this substep's cost
-        against the scheduled packet; both None at an idle slot.
+        and its substitute's weight (scaled), used to bound this
+        substep's cost against the scheduled packet; both None at an
+        idle slot.
         """
         t = pre.t
         entry = self._timetable.pop(t, None)
         idle = p_weight is None
         if entry is None:
-            report = AdversaryReport("ADV.0", Fraction(0), ZERO, None)
+            report = AdversaryReport("ADV.0", 0, ZERO, None)
         elif isinstance(entry, ShadowEntry):
-            limit = Fraction(0) if idle else pre.minwt(t).value
+            limit = 0 if idle else pre.minwt(t).value
             if entry.weight > limit:
                 self._fail(
                     InvariantViolation,
@@ -795,7 +817,7 @@ class Verifier:
             for pid, slot in claimed.items()
             if pre.packets[pid].deadline <= beta
         }
-        credit = Fraction(0)
+        credit = 0
         detail_bits = [f"adv={adv.case}"]
         if not anchors:
             case = "O.1"
@@ -831,7 +853,7 @@ class Verifier:
             case=case,
             detail=" ".join(detail_bits),
             advgain=advgain,
-            dweights=Fraction(0),
+            dweights=0,
             dpsi_adv=adv.dpsi,
             dpsi_initseg=ZERO,
             dpsi_window=dpsi_alg,
@@ -859,11 +881,11 @@ class Verifier:
             case=adv.case,
             detail="",
             advgain=adv.scheduled_weight,
-            dweights=Fraction(0),
+            dweights=0,
             dpsi_adv=adv.dpsi,
             dpsi_initseg=ZERO,
             dpsi_window=ZERO,
-            advgain_window=Fraction(0),
+            advgain_window=0,
             margin=ZERO,
         )
         self._post_event_checks()
@@ -881,7 +903,8 @@ class Verifier:
         if event.leap != leap:
             self._fail(
                 TraceMismatch,
-                f"recorded leap record diverges from the mirror: {leap} != {event.leap}",
+                "recorded leap record diverges from the mirror: "
+                f"{format_leap(leap, self._scale)} != {format_leap(event.leap, self._scale)}",
             )
         rec = event.leap
         w_p = scheduled.weight.value
@@ -947,12 +970,12 @@ class Verifier:
             )
         # floors[i] is the admission floor of the i-th window segment
         floors = [mu0] + [link.mu.value for link in rec.chain]
-        dw = [Fraction(0)]
+        dw = [0]
         for i, link in enumerate(rec.chain):
             step = link.new_weight.value - link.old_weight.value
             self._require_frac(step >= 0, "L.window", "chain weight decreased")
             if link.new_weight != link.old_weight and step != max(
-                floors[i] - link.old_weight.value, Fraction(0)
+                floors[i] - link.old_weight.value, 0
             ):
                 self._fail(
                     InvariantViolation,
@@ -967,14 +990,14 @@ class Verifier:
             link.new_weight != link.old_weight for link in rec.chain
         ] + [True]
 
-        def dw_sum(first: int, last: int) -> Fraction:
-            return sum(dw[first : last + 1], Fraction(0))
+        def dw_sum(first: int, last: int) -> int:
+            return sum(dw[first : last + 1])
 
         dweights_event = dw_sum(1, k + 1)
         old_by_id = {rec.rho_id: rec.rho_old_weight.value}
         for link in rec.chain:
             old_by_id[link.h_id] = link.old_weight.value
-        recorded = Fraction(0)
+        recorded = 0
         for pid, tw in event.dweights.items():
             if pid not in old_by_id:
                 self._fail(
@@ -992,13 +1015,13 @@ class Verifier:
 
         # working copy of the plan after the first-segment stage; values
         # are (deadline, weight) pairs evolved substep by substep
-        working: dict[int, tuple[int, Fraction]] = {
+        working: dict[int, tuple[int, int]] = {
             pid: (pre.packets[pid].deadline, pre.packets[pid].weight.value)
             for pid in pre.plan_ids()
             if pid != rec.ell_id
         }
 
-        new_dw: dict[int, tuple[int, Fraction]] = {}
+        new_dw: dict[int, tuple[int, int]] = {}
         for i, link in enumerate(rec.chain):
             new_dw[i + 1] = (link.new_deadline, link.new_weight.value)
         new_dw[k + 1] = (rec.rho_deadline, rec.rho_new_weight.value)
@@ -1035,7 +1058,7 @@ class Verifier:
         ]
         rho_furloughed = rec.rho_id in self._furloughed
         dpsi_window = ZERO
-        advgain_window = Fraction(0)
+        advgain_window = 0
         decomposition: GroupDecomposition | None = None
 
         if not window_live and not rho_furloughed:
@@ -1228,7 +1251,7 @@ class Verifier:
                             "initial group contains a claimed packet",
                             case=case,
                         )
-                    credit = Fraction(0)
+                    credit = 0
                     dpsi_g = PHI_INV * (dw_sum(a + 1, b + 1) - w_p + w_next)
                     detail_bits.append(f"I[{a},{b}]")
                 self._require_sign(
@@ -1310,48 +1333,52 @@ class Verifier:
                 lhs=self._potential,
                 rhs=ZERO,
             )
-        if self._advgain_total != self.comparison.weight0:
+        if self._advgain_total != self._comparison_weight:
             self._fail(
                 InvariantViolation,
-                f"credited total {self._advgain_total} != comparison weight "
-                f"{self.comparison.weight0}",
+                f"credited total {self._scale.rational(self._advgain_total)} "
+                f"!= comparison weight {self.comparison.weight0}",
             )
         if self._gain_current - self._dweights_total > self._gain0:
             self._fail(
                 InvariantViolation,
                 "transmitted weight exceeds original gain after discounting bumps",
             )
-        bound_margin = PHI * self._gain0 - self.comparison.weight0
+        bound_margin = PHI * self._gain0 - self._comparison_weight
         if golden_sign(bound_margin) < 0:
             self._fail(
                 InequalityViolation,
                 "competitive guarantee fails",
                 lhs=PHI * self._gain0,
-                rhs=GoldenNumber(self.comparison.weight0, Fraction(0)),
+                rhs=GoldenNumber(self._comparison_weight, 0),
             )
+        rational = self._scale.rational
         summary = SummaryReport(
             events=self._event_index,
-            advgain_total=self._advgain_total,
-            comparison_weight=self.comparison.weight0,
-            gain0=self._gain0,
-            gain_current=self._gain_current,
-            weight_increase_total=self._dweights_total,
-            psi_final=self._potential,
-            bound_margin=bound_margin,
+            advgain_total=rational(self._advgain_total),
+            comparison_weight=rational(self._comparison_weight),
+            gain0=rational(self._gain0),
+            gain_current=rational(self._gain_current),
+            weight_increase_total=rational(self._dweights_total),
+            psi_final=self._scale.golden(self._potential),
+            bound_margin=self._scale.golden(bound_margin),
         )
         return VerificationResult(
             algorithm="planm",
             reports=tuple(self._reports),
             summary=summary,
+            scale=self._scale,
         )
 
     @property
     def potential(self) -> GoldenNumber:
-        return self._potential
+        """The running potential."""
+        return self._scale.golden(self._potential)
 
     @property
     def gain0(self) -> Fraction:
-        return self._gain0
+        """The original weight transmitted so far."""
+        return self._scale.rational(self._gain0)
 
 
 def verify_trace(
@@ -1366,6 +1393,13 @@ def verify_trace(
     if trace.algorithm != "planm":
         raise TraceMismatch(f"cannot audit algorithm {trace.algorithm!r}")
     verifier = Verifier(instance, comparison)
+    scale = instance.scale
+    trace_denominator = trace.scale.denominator
+    if trace_denominator != scale.denominator:
+        raise TraceMismatch(
+            f"trace weights have common denominator {trace_denominator}, "
+            f"the instance's have {scale.denominator}"
+        )
     events = list(trace.events)
     cursor = 0
 
@@ -1385,13 +1419,16 @@ def verify_trace(
             ev = next_event(f"arrival of {packet.id} at t={t}")
             if not isinstance(ev, ArrivalEvent) or ev.t != t or ev.packet != packet:
                 raise TraceMismatch(
-                    f"expected arrival of {packet.id} at t={t}, trace has {ev}"
+                    f"expected arrival of {packet.id} at t={t}, "
+                    f"trace has {format_event(ev, scale)}"
                 )
             verifier.on_arrival(packet)
             i += 1
         ev = next_event(f"scheduling event at t={t}")
         if not isinstance(ev, ScheduleEvent) or ev.t != t:
-            raise TraceMismatch(f"expected a scheduling event at t={t}, trace has {ev}")
+            raise TraceMismatch(
+                f"expected a scheduling event at t={t}, trace has {format_event(ev, scale)}"
+            )
         if ev.kind == "idle":
             verifier.on_idle(t)
         elif ev.kind == "ordinary":
@@ -1407,12 +1444,12 @@ def verify_trace(
         mirror = verifier.mirror_events[-1]
         if mirror != ev:
             raise TraceMismatch(
-                f"trace event at t={t} diverges from the mirror: {ev} != {mirror}"
+                f"trace event at t={t} diverges from the mirror: "
+                f"{format_event(ev, scale)} != {format_event(mirror, scale)}"
             )
     if cursor != len(events):
         raise TraceMismatch(f"{len(events) - cursor} trailing events in the trace")
-    if trace.gain0 != verifier.gain0:
-        raise TraceMismatch(
-            f"recorded gain {trace.gain0} != accumulated {verifier.gain0}"
-        )
+    gain0 = verifier.gain0
+    if trace.gain0 != gain0:
+        raise TraceMismatch(f"recorded gain {trace.gain0} != accumulated {gain0}")
     return verifier.finalize()

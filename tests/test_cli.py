@@ -86,6 +86,13 @@ class TestOpt:
         parsed = parse_schedule(out.read_text())
         assert parsed == optimal_schedule(w2)
 
+    def test_deep_augmenting_path(self, runner, chain, tmp_path):
+        path = tmp_path / "chain.jsonl"
+        save_instance(chain, str(path))
+        result = runner.invoke(main, ["opt", "--instance", str(path)])
+        assert result.exit_code == 0, result.output
+        assert result.output == "opt = 2401\n"
+
 
 class TestVerify:
     def run_pipeline(self, runner, instance_file, tmp_path, algorithm="planm"):

@@ -17,6 +17,7 @@ from planpack.golden import (
     PHI_INV3,
     TaggedWeight,
     TiebreakSource,
+    WeightScale,
     ZERO,
     format_golden,
     format_rational,
@@ -135,6 +136,19 @@ def test_bumped_weight_sits_above_minwt_realizer():
     assert bumped.value == realizer.value
 
 
+def test_weight_scale_round_trip():
+    scale = WeightScale([Fraction(1, 6), Fraction(3, 35), Fraction(2), Fraction(5, 11)])
+    assert scale.denominator == 2310
+    assert scale.scaled(Fraction(1, 6)) == 385
+    for w in (Fraction(1, 6), Fraction(3, 35), Fraction(0), Fraction(7, 2310), Fraction(13, 6)):
+        assert scale.rational(scale.scaled(w)) == w
+    with pytest.raises(ValueError):
+        scale.scaled(Fraction(1, 4))
+    assert WeightScale([Fraction(3), Fraction(0)]).denominator == 1
+    assert WeightScale([Fraction(1, 2)]) == WeightScale([Fraction(3, 2), Fraction(7)])
+    assert WeightScale([Fraction(1, 2)]) != WeightScale([Fraction(1, 3)])
+
+
 def test_tiebreak_counters():
     src = TiebreakSource()
     assert src.fresh() == 1
@@ -166,12 +180,16 @@ def test_golden_serialization_round_trip():
 
 
 def test_tagged_serialization_round_trip():
-    w = TaggedWeight(Fraction(5, 1), -3)
-    assert format_tagged(w) == "5/1(-3)"
-    assert parse_tagged("5/1(-3)") == w
-    assert parse_tagged("7/2(+11)") == TaggedWeight(Fraction(7, 2), 11)
+    scale = WeightScale([Fraction(5), Fraction(7, 2)])
+    w = TaggedWeight(10, -3)
+    assert format_tagged(w, scale) == "5/1(-3)"
+    assert parse_tagged("5/1(-3)", scale) == w
+    assert parse_tagged("7/2(+11)", scale) == TaggedWeight(7, 11)
+    assert format_tagged(TaggedWeight(7, 11), scale) == "7/2(+11)"
     with pytest.raises(ValueError):
-        parse_tagged("7/2(3)")
+        parse_tagged("7/2(3)", scale)
+    with pytest.raises(ValueError):
+        parse_tagged("1/3(+1)", scale)
 
 
 @given(small_rationals, small_rationals)

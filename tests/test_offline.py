@@ -27,6 +27,12 @@ def test_empty_instance():
     assert brute.assignment == {} and brute.weight0 == 0
 
 
+def test_deep_augmenting_path(chain):
+    sched = optimal_schedule(chain)
+    assert sched.weight0 == 2401
+    assert sorted(sched.assignment) == list(range(1201))
+
+
 def test_single_packet():
     inst = validate([mk(1, 0, 0, 7)])
     assert optimal_schedule(inst).weight0 == 7

@@ -17,10 +17,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import mk
-from planpack.golden import ZERO, TaggedWeight, golden
+from planpack.golden import PHI, ZERO, TaggedWeight, golden
 from planpack.model import Packet, validate
 from planpack.offline import Schedule, optimal_schedule
 from planpack.schedulers import ArrivalEvent, RunTrace, ScheduleEvent, run
+from planpack.trace_io import format_trace, parse_trace
 from planpack.verifier import (
     GroupDecomposition,
     InfeasibleComparison,
@@ -271,8 +272,13 @@ def test_fractional_weights_sweep():
             packets.append(Packet(i, r, d, w))
         inst = validate(packets)
         _, trace = run("planm", inst)
-        verify_trace(inst, trace, optimal_schedule(inst))
-        verify_trace(inst, trace, random_feasible_schedule(inst, rng))
+        for comparison in (optimal_schedule(inst), random_feasible_schedule(inst, rng)):
+            summary = verify_trace(inst, trace, comparison).summary
+            assert summary.advgain_total == comparison.weight0
+            assert summary.comparison_weight == comparison.weight0
+            assert summary.gain0 == trace.gain0
+            assert summary.psi_final == ZERO
+            assert summary.bound_margin == PHI * trace.gain0 - comparison.weight0
 
 
 # slack helpers against a brute-force recount
@@ -337,20 +343,21 @@ class TestRejection:
 
     def test_truncated_and_padded_traces(self, audited):
         inst, trace, opt = audited
-        shorter = RunTrace(trace.algorithm, trace.events[:-1], trace.gain0)
+        shorter = RunTrace(trace.algorithm, trace.events[:-1], trace.gain0, trace.scale)
         with pytest.raises(TraceMismatch):
             verify_trace(inst, shorter, opt)
         padded = RunTrace(
             trace.algorithm,
             trace.events + [ScheduleEvent(2, None, "idle", None, {})],
             trace.gain0,
+            trace.scale,
         )
         with pytest.raises(TraceMismatch):
             verify_trace(inst, padded, opt)
 
     def test_gain_footer_tamper(self, audited):
         inst, trace, opt = audited
-        bad = RunTrace(trace.algorithm, trace.events, trace.gain0 + 1)
+        bad = RunTrace(trace.algorithm, trace.events, trace.gain0 + 1, trace.scale)
         with pytest.raises(TraceMismatch):
             verify_trace(inst, bad, opt)
 
@@ -369,6 +376,16 @@ class TestRejection:
             verifier.finalize()
         with pytest.raises(VerifierError):
             verifier.on_idle(2)
+
+    def test_trace_weights_over_another_denominator(self):
+        inst = validate([mk(1, 0, 0, Fraction(1, 3)), mk(2, 0, 1, 2)])
+        _, trace = run("planm", inst)
+        arrival = 'A,0,{"id":1,"r":0,"d":0,"w":"1/3"}\n'
+        text = format_trace(trace)
+        assert arrival in text
+        mutant = parse_trace(text.replace(arrival, arrival.replace("1/3", "1/6")))
+        with pytest.raises(TraceMismatch, match="common denominator"):
+            verify_trace(inst, mutant, optimal_schedule(inst))
 
     def test_arrival_at_wrong_time(self, w2):
         verifier = Verifier(w2, optimal_schedule(w2))
@@ -398,7 +415,7 @@ def mutate_trace(trace, inst, rng: random.Random):
 
     def rebuild(evs, gain0=None):
         return RunTrace(
-            trace.algorithm, list(evs), trace.gain0 if gain0 is None else gain0
+            trace.algorithm, list(evs), trace.gain0 if gain0 is None else gain0, trace.scale
         )
 
     choices = ["footer", "truncate", "pad"]
@@ -483,7 +500,8 @@ def test_reports_expose_exact_arithmetic(w2):
     result = verify_trace(w2, trace, optimal_schedule(w2))
     for rep in result.reports:
         assert rep.dpsi_total == rep.dpsi_adv + rep.dpsi_initseg + rep.dpsi_window
-        assert isinstance(rep.advgain, Fraction)
+        assert isinstance(rep.advgain, int)
+        assert isinstance(result.scale.rational(rep.advgain), Fraction)
     assert result.summary.events == len(result.reports)
 
 
