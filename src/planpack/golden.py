@@ -241,6 +241,8 @@ def format_rational(q: Fraction) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
+    if not isinstance(text, str):
+        raise ValueError(f"rational must be a num/den string: {text!r}")
     num, sep, den = text.partition("/")
     if not sep:
         raise ValueError(f"rational must look like num/den: {text!r}")

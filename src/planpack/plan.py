@@ -8,8 +8,9 @@ tie-broken total order on weights.  This module keeps that subset and
 its derived structure current across the three events that can change
 it (a packet arrives; a packet from the first segment is transmitted; a
 packet from a later segment is transmitted) by applying the constant
-size membership delta each event induces and then rebuilding the slot
-profile in one linear pass.
+size membership delta each event induces and then rebuilding the slack
+profile, which is just the plan's sorted deadlines: it costs nothing per
+empty slot, however long the horizon.
 
 Conceptually the pending set is padded with zero-weight packets, one
 per slot, up to a horizon sentinel one past the largest deadline.  The
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from typing import Iterable
 
 from .golden import TaggedWeight, TiebreakSource
 
@@ -49,6 +51,7 @@ __all__ = [
     "SubstituteResult",
     "ArrivalOutcome",
     "LeapInfo",
+    "SlackProfile",
     "PlanState",
     "compute_plan",
 ]
@@ -140,6 +143,66 @@ class LeapInfo:
     rho_was_virtual: bool
 
 
+class SlackProfile:
+    """pslack over the slots [t - 1, sentinel] of a multiset of deadlines.
+
+    pslack(tau) = (tau - t + 1) - #{deadlines <= tau}.  Only the sorted
+    deadlines are kept.  Between two deadlines the profile rises by one
+    per slot, so each such stretch has its minimum at its first slot and
+    at most one zero; building the profile costs O(n log n) in the
+    number of deadlines and each query O(log n), whatever the horizon.
+
+    A deadline below t counts against every slot, so expired members
+    show up as negative slack from slot t on.  A deadline at or past
+    the sentinel counts against no slot before the sentinel.
+
+    tights holds t - 1, every slot in [t, sentinel) with zero slack
+    (after a negative stretch that need not be a deadline), and the
+    sentinel.  floor is the minimum of 0 and every pslack(tau) for tau
+    in [t, sentinel], with the first slot reaching it (t - 1 when no
+    slot is negative).
+    """
+
+    __slots__ = ("t", "deadlines", "tights", "floor")
+
+    def __init__(self, deadlines: Iterable[int], t: int, sentinel: int) -> None:
+        ds = sorted(deadlines)
+        self.t = t
+        self.deadlines = ds
+        tights = [t - 1]
+        floor = (0, t - 1)
+        # counting ds[0..j] against slot a = max(ds[j], t) leaves
+        # a - t - j free; at the last j with that deadline this is
+        # pslack(a), which then rises by one per slot until ds[j + 1]
+        for j, d in enumerate(ds):
+            if d > sentinel:
+                break
+            a = d if d > t else t
+            slack = a - t - j
+            if slack <= 0:
+                if slack < floor[0]:
+                    floor = (slack, a)
+                zero = a - slack
+                if zero < sentinel and (j + 1 == len(ds) or zero < ds[j + 1]):
+                    tights.append(zero)
+        tights.append(sentinel)
+        self.tights = tights
+        self.floor = floor
+
+    def pslack(self, tau: int) -> int:
+        return (tau - self.t + 1) - bisect_right(self.deadlines, tau)
+
+    def nextts(self, tau: int) -> int:
+        """First tight slot at or after tau, at least t; the sentinel past it."""
+        i = bisect_left(self.tights, tau, 1)
+        return self.tights[min(i, len(self.tights) - 1)]
+
+    def prevts(self, tau: int) -> int:
+        """Last tight slot before tau; t - 1 when there is none."""
+        i = bisect_left(self.tights, tau)
+        return self.tights[max(i - 1, 0)]
+
+
 class PlanState:
     """Pending packets plus the plan structure at one instant.
 
@@ -160,35 +223,23 @@ class PlanState:
     # structure rebuild
 
     def refresh(self) -> None:
-        t, base, H = self.t, self.t - 1, self.sentinel
-        size = H - base + 1
-        counts = [0] * size
+        t, H = self.t, self.sentinel
         members = []
         nonplan = []
         for p in self.packets.values():
             if p.in_plan:
                 if not t <= p.deadline < H:
                     raise PlanError(f"plan packet {p.id} deadline {p.deadline} out of [{t}, {H})")
-                counts[p.deadline - base] += 1
                 members.append(p)
             else:
                 nonplan.append(p)
 
-        pslack = [0] * size
-        filled = 0
-        for i in range(1, size):
-            filled += counts[i]
-            pslack[i] = i - filled
-            if pslack[i] < 0:
-                raise PlanError(f"plan infeasible at slot {base + i}")
-        self._pslack = pslack
-
-        tights = [base]
-        for i in range(1, size - 1):
-            if pslack[i] == 0:
-                tights.append(base + i)
-        tights.append(H)
-        self.tights = tights
+        profile = SlackProfile([p.deadline for p in members], t, H)
+        slack, slot = profile.floor
+        if slack < 0:
+            raise PlanError(f"plan infeasible at slot {slot}")
+        self._profile = profile
+        self.tights = tights = profile.tights
 
         nseg = len(tights) - 1
         seg_min: list[PendingPacket | None] = [None] * (nseg + 1)
@@ -224,13 +275,13 @@ class PlanState:
 
     # slot queries
 
-    def _slot_index(self, tau: int, lo: int) -> int:
+    def _check_slot(self, tau: int, lo: int) -> None:
         if not lo <= tau <= self.sentinel:
             raise OutOfRangeError(f"slot {tau} outside [{lo}, {self.sentinel}]")
-        return tau - (self.t - 1)
 
     def pslack(self, tau: int) -> int:
-        return self._pslack[self._slot_index(tau, self.t - 1)]
+        self._check_slot(tau, self.t - 1)
+        return self._profile.pslack(tau)
 
     def tight_slots(self) -> list[int]:
         return list(self.tights)
@@ -240,15 +291,15 @@ class PlanState:
         return [(self.tights[i - 1], self.tights[i]) for i in range(1, len(self.tights))]
 
     def nextts(self, tau: int) -> int:
-        self._slot_index(tau, self.t)
-        return self.tights[bisect_left(self.tights, tau)]
+        self._check_slot(tau, self.t)
+        return self._profile.nextts(tau)
 
     def prevts(self, tau: int) -> int:
-        self._slot_index(tau, self.t)
-        return self.tights[bisect_left(self.tights, tau) - 1]
+        self._check_slot(tau, self.t)
+        return self._profile.prevts(tau)
 
     def _segment_of(self, tau: int) -> int:
-        self._slot_index(tau, self.t)
+        self._check_slot(tau, self.t)
         return bisect_left(self.tights, tau, 1)
 
     def _is_tail_segment(self, seg: int) -> bool:

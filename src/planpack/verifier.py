@@ -37,7 +37,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
 from .golden import (
     GoldenNumber,
@@ -51,7 +50,7 @@ from .golden import (
 )
 from .model import Instance, Packet, tagged_weight_map
 from .offline import Schedule
-from .plan import PendingPacket, PlanState
+from .plan import PendingPacket, PlanState, SlackProfile
 from .schedulers import (
     ArrivalEvent,
     LeapRecord,
@@ -74,7 +73,6 @@ __all__ = [
     "EventReport",
     "SummaryReport",
     "VerificationResult",
-    "GroupDecomposition",
     "Verifier",
     "verify_trace",
 ]
@@ -162,22 +160,6 @@ class AdversaryReport:
 
 
 @dataclass(frozen=True, slots=True)
-class GroupDecomposition:
-    """How a long-leap window splits into per-group substeps.
-
-    ``groups`` holds (first index, last index, kind) triples over the
-    replacement chain, kind one of "terminal", "middle", "initial";
-    ``anchors`` lists the chain indices whose packet had a live
-    timetable entry when the window processing began.
-    """
-
-    anchors: tuple[int, ...]
-    groups: tuple[tuple[int, int, str], ...]
-    g_id: int
-    g_index: int | None
-
-
-@dataclass(frozen=True, slots=True)
 class EventReport:
     """One ledger row; weights and golden numbers in scaled units."""
 
@@ -221,59 +203,6 @@ class VerificationResult:
     reports: tuple[EventReport, ...]
     summary: SummaryReport
     scale: WeightScale
-
-
-def _pslack_floor(deadlines: Iterable[int], t: int, horizon_sentinel: int) -> tuple[int, int]:
-    """Minimum packing slack over [t, sentinel] and its first slot.
-
-    Counts members by deadline; a member with deadline below t still
-    counts against every slot, so expired members surface as negative
-    slack at slot t.
-    """
-    counts = [0] * (horizon_sentinel - t + 2)
-    for d in deadlines:
-        idx = min(max(d - t, 0), len(counts) - 1)
-        counts[idx] += 1
-    best = (0, t - 1)
-    acc = 0
-    for off, c in enumerate(counts[:-1]):
-        acc += c
-        slack = (off + 1) - acc
-        if slack < best[0]:
-            best = (slack, t + off)
-    return best
-
-
-def _tight_slots(deadlines: Iterable[int], t: int, horizon_sentinel: int) -> list[int]:
-    """Slots in [t, sentinel) with zero slack, plus the sentinel itself."""
-    counts = [0] * (horizon_sentinel - t + 1)
-    for d in deadlines:
-        idx = min(max(d - t, 0), len(counts) - 1)
-        counts[idx] += 1
-    out = []
-    acc = 0
-    for off in range(horizon_sentinel - t):
-        acc += counts[off]
-        if (off + 1) - acc == 0:
-            out.append(t + off)
-    out.append(horizon_sentinel)
-    return out
-
-
-def _next_tight(deadlines: Iterable[int], t: int, horizon_sentinel: int, tau: int) -> int:
-    for slot in _tight_slots(deadlines, t, horizon_sentinel):
-        if slot >= tau:
-            return slot
-    return horizon_sentinel
-
-
-def _prev_tight(deadlines: Iterable[int], t: int, horizon_sentinel: int, tau: int) -> int:
-    prev = t - 1
-    for slot in _tight_slots(deadlines, t, horizon_sentinel):
-        if slot >= tau:
-            break
-        prev = slot
-    return prev
 
 
 class Verifier:
@@ -433,9 +362,9 @@ class Verifier:
         """
         t = reference.t
         sentinel = self._state.sentinel
-        eta = _prev_tight(plan.values(), t, sentinel, g_deadline)
+        eta = SlackProfile(plan.values(), t, sentinel).prevts(g_deadline)
         backup = self._backup_deadlines(plan, claimed, reference)
-        eta_prime = _next_tight(backup, t, sentinel, g_deadline)
+        eta_prime = SlackProfile(backup, t, sentinel).nextts(g_deadline)
         return self._earliest_furlough(reference, eta, eta_prime, case)
 
     # ------------------------------------------------------------------
@@ -490,7 +419,7 @@ class Verifier:
             if pid not in plan:
                 self._fail(InvariantViolation, f"claimed packet {pid} left the plan")
         deadlines = self._backup_deadlines(plan, claimed, state)
-        slack, slot = _pslack_floor(deadlines, state.t, state.sentinel)
+        slack, slot = SlackProfile(deadlines, state.t, state.sentinel).floor
         if slack < 0:
             self._fail(
                 InvariantViolation,
@@ -526,14 +455,13 @@ class Verifier:
             return
         claimed = self._real_entries()
         plan = {pid: state.packets[pid].deadline for pid in state.plan_ids()}
-        backup = self._backup_deadlines(plan, set(claimed), state)
+        backup = SlackProfile(
+            self._backup_deadlines(plan, set(claimed), state), t, sentinel
+        )
         fur_deadlines = sorted(
             state.packets[fid].deadline for fid in self._furloughed
         )
         claimed_deadlines = sorted(plan[pid] for pid in claimed)
-
-        def pslack_backup(tau: int) -> int:
-            return (tau - t + 1) - sum(1 for d in backup if d <= tau)
 
         rng = random.Random(self._event_index)
         for _ in range(3):
@@ -541,12 +469,12 @@ class Verifier:
             eta_prime = rng.randint(eta, sentinel)
             left = (
                 state.pslack(eta)
-                - pslack_backup(eta)
+                - backup.pslack(eta)
                 + sum(1 for d in fur_deadlines if eta < d <= eta_prime)
             )
             right = (
                 state.pslack(eta_prime)
-                - pslack_backup(eta_prime)
+                - backup.pslack(eta_prime)
                 + sum(1 for d in claimed_deadlines if eta < d <= eta_prime)
             )
             if left != right:
@@ -667,8 +595,8 @@ class Verifier:
                         pid: pre.packets[pid].deadline for pid in pre.plan_ids()
                     }
                     backup = self._backup_deadlines(plan_pre, claimed_now, pre)
-                    xi_b = _next_tight(
-                        backup, pre.t, self._state.sentinel, packet.deadline
+                    xi_b = SlackProfile(backup, pre.t, self._state.sentinel).nextts(
+                        packet.deadline
                     )
                     lam = pre.prevts(packet.deadline)
                     if u.deadline <= xi_b:
@@ -1042,7 +970,7 @@ class Verifier:
             for pid, (deadline, _) in working.items():
                 if pid not in claimed_set:
                     deadlines.append(deadline)
-            slack, slot = _pslack_floor(deadlines, t + 1, self._state.sentinel)
+            slack, slot = SlackProfile(deadlines, t + 1, self._state.sentinel).floor
             if slack < 0:
                 self._fail(
                     InvariantViolation,
@@ -1059,7 +987,7 @@ class Verifier:
         rho_furloughed = rec.rho_id in self._furloughed
         dpsi_window = ZERO
         advgain_window = 0
-        decomposition: GroupDecomposition | None = None
+        anchors: tuple[int, ...] | None = None
 
         if not window_live and not rho_furloughed:
             case = "L.S.1" if k == 0 else "L.I.1"
@@ -1136,12 +1064,6 @@ class Verifier:
                     f"groups {groups} do not partition the chain",
                     case=case,
                 )
-            decomposition = GroupDecomposition(
-                anchors=anchors,
-                groups=tuple(groups),
-                g_id=g_id,
-                g_index=g_index,
-            )
 
             for a, b, kind_g in sorted(groups, reverse=True):
                 claimed_now = self._real_entries()
@@ -1292,8 +1214,8 @@ class Verifier:
         self._dweights_total += dweights_event
         self._gain0 += scheduled.original_weight
         self._gain_current += w_p
-        if decomposition is not None:
-            detail_bits.append(f"anchors={list(decomposition.anchors)}")
+        if anchors is not None:
+            detail_bits.append(f"anchors={list(anchors)}")
         report = self._report(
             time=t,
             kind=event.kind,

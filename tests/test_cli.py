@@ -56,6 +56,13 @@ class TestSimulate:
         assert result.exit_code == 1
         assert "expected keys" in result.output
 
+    def test_non_string_weight_exits_1(self, runner, tmp_path):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('{"id":1,"r":0,"d":1,"w":5}\n')
+        result = runner.invoke(main, ["simulate", "--instance", str(bad)])
+        assert result.exit_code == 1
+        assert "num/den string" in result.output
+
     def test_horizon_cap_enforced(self, runner, w2_file, monkeypatch):
         monkeypatch.setenv("SCHED_HORIZON_CAP", "1")
         result = runner.invoke(main, ["simulate", "--instance", w2_file])

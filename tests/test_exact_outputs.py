@@ -1,6 +1,7 @@
-"""Byte-exact pipeline outputs on instances with fractional weights.
+"""Byte-exact pipeline outputs on instances with fractional weights, and
+on a long, nearly idle horizon.
 
-Each instance is an s-bounded generator instance (span 8, 150 steps)
+Each fractional instance is an s-bounded generator instance (span 8, 150 steps)
 whose weights are divided by 6, 35 or 11 according to the packet id,
 so the weights share the common denominator 2310 and the runs take
 simple and iterated leaps.  The four commands run end to end through
@@ -11,6 +12,7 @@ ledger and the printed lines.
 
 import hashlib
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
@@ -93,3 +95,36 @@ def test_outputs_match_pins(seed, tmp_path):
     kinds = Counter(getattr(ev, "kind", "arrival") for ev in trace.events)
     assert kinds["simple-leap"] > 0 and kinds["iterated-leap"] > 0
     assert digests == PINS[seed]
+
+
+LONG_HORIZON = 10**4
+
+# sha256 of (planm trace, schedule, ledger) for the long-horizon instance
+LONG_HORIZON_PINS = (
+    "4763aec0f713113112b2ea2db9bdb715338815460d30a12ce45b157923511d1a",
+    "092de9117f750b080dfb658e8120580e6a0fabd251dc4f8f4f246a7c8647442e",
+    "1d580d1bcfbe8b1421d33e984231a478bc87043b11673bd241577ca0b219174a",
+)
+
+
+def test_long_horizon_outputs_match_pins(tmp_path):
+    """Three packets, deadlines up to 10^4: the plan's slack profile must
+    not cost per empty slot, and the outputs stay byte-identical."""
+    inst = tmp_path / "instance.jsonl"
+    save_instance(validate([
+        Packet(1, 0, LONG_HORIZON, Fraction(3)),
+        Packet(2, 0, 5, Fraction(2)),
+        Packet(3, 1, LONG_HORIZON, Fraction(1)),
+    ]), str(inst))
+    files = [tmp_path / name for name in ("planm.trace", "opt.sched", "ledger.csv")]
+    commands = [
+        ["simulate", "--instance", str(inst), "--trace", str(files[0])],
+        ["opt", "--instance", str(inst), "--out", str(files[1])],
+        ["verify", "--instance", str(inst), "--trace", str(files[0]),
+         "--comparison", str(files[1]), "--out", str(files[2])],
+    ]
+    runner = CliRunner()
+    for args in commands:
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+    assert tuple(_sha(path.read_bytes()) for path in files) == LONG_HORIZON_PINS

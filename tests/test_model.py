@@ -104,6 +104,12 @@ def test_parse_rejects_non_integer_fields():
         parse_instance('{"id": 1, "r": 0.5, "d": 1, "w": "1/1"}\n')
 
 
+@pytest.mark.parametrize("weight", ["5", "null", "[1]", "1.5"])
+def test_parse_rejects_non_string_weight(weight):
+    with pytest.raises(InstanceSyntaxError):
+        parse_instance(f'{{"id": 1, "r": 0, "d": 1, "w": {weight}}}\n')
+
+
 def test_parse_keeps_validation_error_types():
     with pytest.raises(DuplicateIdError):
         parse_instance(

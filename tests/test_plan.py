@@ -355,6 +355,13 @@ def test_errors():
         state.advance_idle()
 
 
+def test_overfull_plan_names_the_slot(fig1):
+    state = state_from(fig1, t=1)
+    state.packets[8].in_plan = True                # x joins a full first segment
+    with pytest.raises(PlanError, match="plan infeasible at slot 3"):
+        state.refresh()
+
+
 def test_empty_state():
     state = PlanState(0, 5)
     assert state.plan_ids() == set()

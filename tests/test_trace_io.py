@@ -82,6 +82,9 @@ def test_parse_errors():
         parse_trace('H,1,planm\nA,0,{"id":1,"r":0}\nG,0/1\n')
     with pytest.raises(TraceSyntaxError):
         parse_trace("H,1,planm\nX,0\nG,0/1\n")
+    for weight in ("5", "null", "[1]"):                              # weight not a string
+        with pytest.raises(TraceSyntaxError):
+            parse_trace(f'H,1,planm\nA,0,{{"id":1,"r":0,"d":1,"w":{weight}}}\nG,0/1\n')
     with pytest.raises(TraceSyntaxError):
         parse_trace("H,1,planm\nS,0,1,ordinary,-,[1]\nG,0/1\n")   # dweights not a map
     with pytest.raises(TraceSyntaxError):                            # 1/7 is not over D = 1

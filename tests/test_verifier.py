@@ -14,16 +14,16 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from conftest import mk
 from planpack.golden import PHI, ZERO, TaggedWeight, golden
 from planpack.model import Packet, validate
 from planpack.offline import Schedule, optimal_schedule
+from planpack.plan import SlackProfile
 from planpack.schedulers import ArrivalEvent, RunTrace, ScheduleEvent, run
 from planpack.trace_io import format_trace, parse_trace
 from planpack.verifier import (
-    GroupDecomposition,
     InfeasibleComparison,
     InvariantViolation,
     RealEntry,
@@ -31,10 +31,6 @@ from planpack.verifier import (
     TraceMismatch,
     Verifier,
     VerifierError,
-    _next_tight,
-    _prev_tight,
-    _pslack_floor,
-    _tight_slots,
     verify_trace,
 )
 
@@ -281,37 +277,48 @@ def test_fractional_weights_sweep():
             assert summary.bound_margin == PHI * trace.gain0 - comparison.weight0
 
 
-# slack helpers against a brute-force recount
+# the shared slack profile against a brute-force recount
 
-members = st.lists(st.integers(min_value=-2, max_value=12), max_size=8)
+SENTINEL = 13
+members = st.lists(st.integers(min_value=-2, max_value=SENTINEL + 3), max_size=8)
 
 
-@given(members, st.integers(min_value=0, max_value=4))
+@given(members, st.integers(min_value=0, max_value=SENTINEL))
+@example([-2, -2], 0)                                   # zero at slot 1, no deadline
+@example([SENTINEL, SENTINEL + 2], 0)                   # counted at the sentinel only
+@example([SENTINEL] * 2, SENTINEL - 1)                  # zero at the sentinel
+@example([SENTINEL] * 5 + [SENTINEL + 1], SENTINEL - 3)  # sentinel overfilled
 def test_slack_helpers_match_recount(deadlines, t):
-    sentinel = 13
+    sentinel = SENTINEL
 
     def counted(tau):
         return sum(1 for d in deadlines if d <= tau)
 
-    slack, slot = _pslack_floor(deadlines, t, sentinel)
+    profile = SlackProfile(deadlines, t, sentinel)
     direct = [(tau - t + 1) - counted(tau) for tau in range(t, sentinel + 1)]
+    for tau, slack in zip(range(t, sentinel + 1), direct):
+        assert profile.pslack(tau) == slack
+
+    slack, slot = profile.floor
     assert slack == min([0] + direct)
     if slack < 0:
         assert (slot - t + 1) - counted(slot) == slack
         assert all(x > slack for x in direct[: slot - t])
+    else:
+        assert slot == t - 1
 
-    tights = _tight_slots(deadlines, t, sentinel)
+    tights = profile.tights
     expected = [
         tau for tau in range(t, sentinel) if (tau - t + 1) - counted(tau) == 0
     ]
-    assert tights == expected + [sentinel]
+    assert tights == [t - 1] + expected + [sentinel]
 
-    for tau in range(t, sentinel + 1):
-        assert _next_tight(deadlines, t, sentinel, tau) == min(
-            [s for s in tights if s >= tau], default=sentinel
+    for tau in range(t - 2, sentinel + 3):
+        assert profile.nextts(tau) == min(
+            [s for s in tights[1:] if s >= tau], default=sentinel
         )
-        assert _prev_tight(deadlines, t, sentinel, tau) == max(
-            [s for s in tights if s < tau], default=t - 1
+        assert profile.prevts(tau) == max(
+            [s for s in tights[1:] if s < tau], default=t - 1
         )
 
 
@@ -386,6 +393,15 @@ class TestRejection:
         mutant = parse_trace(text.replace(arrival, arrival.replace("1/3", "1/6")))
         with pytest.raises(TraceMismatch, match="common denominator"):
             verify_trace(inst, mutant, optimal_schedule(inst))
+
+    def test_overfull_backup_pool(self, w2):
+        verifier = Verifier(w2, Schedule(assignment={}, weight0=Fraction(0)))
+        for packet in w2.packets:
+            verifier.on_arrival(packet)
+        assert 3 not in verifier._state.plan_ids()
+        verifier._furloughed.add(3)
+        with pytest.raises(InvariantViolation, match="overfills slot 1 by 1"):
+            verifier._scan_backup()
 
     def test_arrival_at_wrong_time(self, w2):
         verifier = Verifier(w2, optimal_schedule(w2))
@@ -510,7 +526,3 @@ def test_timetable_entry_types_are_distinct():
     shadow = ShadowEntry(Fraction(5), 0)
     assert real != shadow
     assert shadow.weight == 5
-    decomposition = GroupDecomposition(
-        anchors=(0,), groups=((0, 0, "terminal"),), g_id=2, g_index=0
-    )
-    assert decomposition.groups[0][2] == "terminal"
