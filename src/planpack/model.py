@@ -134,6 +134,9 @@ def parse_instance(text: str) -> Instance:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise InstanceSyntaxError(lineno, f"bad JSON: {exc.msg}") from exc
+        except (RecursionError, ValueError) as exc:
+            # nesting too deep, or an integer past Python's digit limit
+            raise InstanceSyntaxError(lineno, f"bad JSON: {exc}") from exc
         if not isinstance(obj, dict) or set(obj) != {"id", "r", "d", "w"}:
             raise InstanceSyntaxError(lineno, "expected keys id, r, d, w")
         try:

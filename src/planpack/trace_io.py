@@ -159,6 +159,9 @@ def _take_cell(line: str, pos: int, lineno: int):
         value, end = _decoder.raw_decode(line, pos)
     except json.JSONDecodeError as exc:
         raise TraceSyntaxError(lineno, f"bad JSON cell: {exc.msg}") from exc
+    except (RecursionError, ValueError) as exc:
+        # nesting too deep, or an integer past Python's digit limit
+        raise TraceSyntaxError(lineno, f"bad JSON cell: {exc}") from exc
     return value, end
 
 

@@ -16,10 +16,10 @@ times the run's gain:
 Every event is classified into one of a fixed set of cases, each with a
 closed-form potential delta and a per-case inequality that is asserted
 exactly via `golden_sign`.  Structural invariants (timetable entries
-stay schedulable, the backup pool stays feasible, the potential matches
-a from-scratch recomputation, and a counting identity relating plan and
-backup slack) are re-checked after every event.  Any failure raises a
-`VerifierError` subclass carrying enough context to replay the event.
+stay schedulable, the backup pool stays feasible, and the potential
+matches a from-scratch recomputation) are re-checked after every event.
+Any failure raises a `VerifierError` subclass carrying enough context
+to replay the event.
 
 The module never trusts the trace: the mirror recomputes every decision
 and the replay driver `verify_trace` rejects the first divergence.
@@ -34,9 +34,10 @@ messages are converted to rationals.
 
 from __future__ import annotations
 
-import random
+from collections.abc import Container
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NoReturn
 
 from .golden import (
     GoldenNumber,
@@ -239,7 +240,7 @@ class Verifier:
         self._gain_current = 0
         self._event_index = 0
         self._reports: list[EventReport] = []
-        self.mirror_events: list[ScheduleEvent] = []
+        self.mirror_event: ScheduleEvent | None = None
         self._finalized = False
 
     # ------------------------------------------------------------------
@@ -253,7 +254,7 @@ class Verifier:
         case: str | None = None,
         lhs: GoldenNumber | None = None,
         rhs: GoldenNumber | None = None,
-    ) -> None:
+    ) -> NoReturn:
         raise cls(
             message,
             event=self._event_index,
@@ -293,23 +294,47 @@ class Verifier:
                 out[entry.packet_id] = slot
         return out
 
-    def _backup_deadlines(
+    def _backup_pool(
         self,
+        packets: dict[int, PendingPacket],
         plan: dict[int, int],
-        claimed: set[int],
-        reference: PlanState,
-    ) -> list[int]:
-        """Deadlines of the backup pool: furloughs plus unclaimed plan."""
-        out = []
+        claimed: Container[int],
+    ) -> list[tuple[int, int]]:
+        """The backup pool as (packet id, deadline) pairs: every furlough,
+        looked up in packets, then every plan member outside claimed.
+
+        plan is a plan view, {packet id: deadline}: the live plan, the
+        plan before the current event, or a leap's working plan.
+        """
+        pool = []
         for fid in self._furloughed:
-            pkt = reference.packets.get(fid)
+            pkt = packets.get(fid)
             if pkt is None:
                 self._fail(InvariantViolation, f"furloughed packet {fid} not pending")
-            out.append(pkt.deadline)
-        for pid, deadline in plan.items():
-            if pid not in claimed:
-                out.append(deadline)
-        return out
+            pool.append((fid, pkt.deadline))
+        pool.extend((pid, d) for pid, d in plan.items() if pid not in claimed)
+        return pool
+
+    def _pool_profile(self, pool: list[tuple[int, int]], t: int) -> SlackProfile:
+        return SlackProfile([d for _, d in pool], t, self._state.sentinel)
+
+    def _check_pool_floor(
+        self, pool: list[tuple[int, int]], t: int, case: str | None = None
+    ) -> None:
+        slack, slot = self._pool_profile(pool, t).floor
+        if slack < 0:
+            self._fail(
+                InvariantViolation,
+                f"backup pool overfills slot {slot} by {-slack}",
+                case=case,
+            )
+
+    def _first_furlough(
+        self, packets: dict[int, PendingPacket], lo: int, hi: int
+    ) -> int | None:
+        """The furlough with the earliest deadline in (lo, hi], ties by id."""
+        found = [(d, fid) for fid, d in self._backup_pool(packets, {}, ()) if lo < d <= hi]
+        return min(found)[1] if found else None
 
     def _earliest_furlough(
         self,
@@ -318,23 +343,14 @@ class Verifier:
         hi: int,
         case: str,
     ) -> tuple[int | None, int]:
-        """Earliest-deadline furlough with deadline in (lo, hi], ties by id.
+        """Release the earliest-deadline furlough with deadline in (lo, hi].
 
         Falls back to consuming a zero-weight stand-in when the range
         runs to the horizon sentinel and holds no live furlough; a bare
         range short of the sentinel is a broken invariant.
         """
-        best: tuple[int, int] | None = None
-        for fid in self._furloughed:
-            pkt = reference.packets.get(fid)
-            if pkt is None:
-                self._fail(InvariantViolation, f"furloughed packet {fid} not pending")
-            if lo < pkt.deadline <= hi:
-                key = (pkt.deadline, fid)
-                if best is None or key < best:
-                    best = key
-        if best is not None:
-            fid = best[1]
+        fid = self._first_furlough(reference.packets, lo, hi)
+        if fid is not None:
             self._furloughed.remove(fid)
             return fid, reference.packets[fid].weight.value
         if hi >= self._state.sentinel:
@@ -344,13 +360,12 @@ class Verifier:
             f"no furlough with deadline in ({lo}, {hi}]",
             case=case,
         )
-        raise AssertionError("unreachable")
 
     def _restore_backup(
         self,
         reference: PlanState,
         plan: dict[int, int],
-        claimed: set[int],
+        claimed: Container[int],
         g_deadline: int,
         case: str,
     ) -> tuple[int | None, int]:
@@ -358,13 +373,13 @@ class Verifier:
 
         The packet g leaves the plan's obligations; the furlough that
         backed it sits between the last tight slot before g's deadline
-        and the backup pool's next tight slot at or after it.
+        and the backup pool's next tight slot at or after it.  reference
+        holds the pending packets and the time the plan view belongs to.
         """
         t = reference.t
-        sentinel = self._state.sentinel
-        eta = SlackProfile(plan.values(), t, sentinel).prevts(g_deadline)
-        backup = self._backup_deadlines(plan, claimed, reference)
-        eta_prime = SlackProfile(backup, t, sentinel).nextts(g_deadline)
+        eta = SlackProfile(plan.values(), t, self._state.sentinel).prevts(g_deadline)
+        pool = self._backup_pool(reference.packets, plan, claimed)
+        eta_prime = self._pool_profile(pool, t).nextts(g_deadline)
         return self._earliest_furlough(reference, eta, eta_prime, case)
 
     # ------------------------------------------------------------------
@@ -405,40 +420,24 @@ class Verifier:
                         rhs=GoldenNumber(limit, 0),
                     )
 
-    def _scan_backup(self) -> None:
+    def _scan_backup(self) -> list[tuple[int, int]]:
+        """Check the live backup pool and return it."""
         state = self._state
-        claimed = set(self._real_entries())
+        plan = _plan_view(state)
+        claimed = self._real_entries()
+        pool = self._backup_pool(state.packets, plan, claimed)
         for fid in self._furloughed:
-            pkt = state.packets.get(fid)
-            if pkt is None:
-                self._fail(InvariantViolation, f"furloughed packet {fid} not pending")
-            if pkt.in_plan:
+            if fid in plan:
                 self._fail(InvariantViolation, f"furloughed packet {fid} is in the plan")
-        plan = {pid: state.packets[pid].deadline for pid in state.plan_ids()}
         for pid in claimed:
             if pid not in plan:
                 self._fail(InvariantViolation, f"claimed packet {pid} left the plan")
-        deadlines = self._backup_deadlines(plan, claimed, state)
-        slack, slot = SlackProfile(deadlines, state.t, state.sentinel).floor
-        if slack < 0:
-            self._fail(
-                InvariantViolation,
-                f"backup pool overfills slot {slot} by {-slack}",
-            )
+        self._check_pool_floor(pool, state.t)
+        return pool
 
-    def _potential_scratch(self) -> GoldenNumber:
-        state = self._state
-        claimed = set(self._real_entries())
-        total = 0
-        for fid in self._furloughed:
-            total += state.packets[fid].weight.value
-        for pid in state.plan_ids():
-            if pid not in claimed:
-                total += state.packets[pid].weight.value
-        return PHI_INV * total
-
-    def _check_potential(self) -> None:
-        scratch = self._potential_scratch()
+    def _check_potential(self, pool: list[tuple[int, int]]) -> None:
+        packets = self._state.packets
+        scratch = PHI_INV * sum(packets[pid].weight.value for pid, _ in pool)
         if golden_sign(self._potential - scratch) != 0:
             self._fail(
                 InvariantViolation,
@@ -447,47 +446,9 @@ class Verifier:
                 rhs=scratch,
             )
 
-    def _check_counting_identity(self) -> None:
-        """Spot-check the plan/backup slack identity on random slot pairs."""
-        state = self._state
-        t, sentinel = state.t, state.sentinel
-        if sentinel < t:
-            return
-        claimed = self._real_entries()
-        plan = {pid: state.packets[pid].deadline for pid in state.plan_ids()}
-        backup = SlackProfile(
-            self._backup_deadlines(plan, set(claimed), state), t, sentinel
-        )
-        fur_deadlines = sorted(
-            state.packets[fid].deadline for fid in self._furloughed
-        )
-        claimed_deadlines = sorted(plan[pid] for pid in claimed)
-
-        rng = random.Random(self._event_index)
-        for _ in range(3):
-            eta = rng.randint(t, sentinel)
-            eta_prime = rng.randint(eta, sentinel)
-            left = (
-                state.pslack(eta)
-                - backup.pslack(eta)
-                + sum(1 for d in fur_deadlines if eta < d <= eta_prime)
-            )
-            right = (
-                state.pslack(eta_prime)
-                - backup.pslack(eta_prime)
-                + sum(1 for d in claimed_deadlines if eta < d <= eta_prime)
-            )
-            if left != right:
-                self._fail(
-                    InvariantViolation,
-                    f"slack identity fails on ({eta}, {eta_prime}]: {left} != {right}",
-                )
-
     def _post_event_checks(self) -> None:
         self._scan_timetable()
-        self._scan_backup()
-        self._check_potential()
-        self._check_counting_identity()
+        self._check_potential(self._scan_backup())
 
     # ------------------------------------------------------------------
     # reporting
@@ -541,7 +502,6 @@ class Verifier:
             )
         if packet.id not in self._weights:
             self._fail(TraceMismatch, f"arrival of unknown packet {packet.id}")
-        pre = state.clone()
         outcome = state.apply_arrival(
             packet.id, packet.release, packet.deadline, self._weights[packet.id]
         )
@@ -559,19 +519,22 @@ class Verifier:
                 self._timetable[slot] = ShadowEntry(w_j, self._event_index)
                 detail_bits.append(f"shadow@{slot}")
         else:
+            # an arrival only flips in_plan flags, so the plan before it
+            # is the plan after it with the evictee back for the newcomer
             u_id = outcome.evicted_id
             if u_id is not None:
                 detail_bits.append(f"evicted={u_id}")
+                u = state.packets[u_id]
+                plan_pre = _plan_view(state)
+                del plan_pre[packet.id]
+                plan_pre[u_id] = u.deadline
             claimed = self._real_entries()
             if u_id is not None and u_id in claimed:
                 u_slot = claimed[u_id]
-                w_u = pre.packets[u_id].weight.value
+                w_u = u.weight.value
                 self._timetable[u_slot] = ShadowEntry(w_u, self._event_index)
-                plan = {
-                    pid: pre.packets[pid].deadline for pid in pre.plan_ids()
-                }
                 f_id, f_val = self._restore_backup(
-                    pre, plan, set(claimed), pre.packets[u_id].deadline, "A.2(i)"
+                    state, plan_pre, claimed, u.deadline, "A.2(i)"
                 )
                 self._require_frac(f_val <= w_u, "A.2(i)", "cover outweighs evictee")
                 dpsi += PHI_INV * (w_u - f_val)
@@ -589,22 +552,17 @@ class Verifier:
                 if u_id is None:
                     dpsi += PHI_INV * w_j
                 else:
-                    u = pre.packets[u_id]
-                    claimed_now = set(self._real_entries())
-                    plan_pre = {
-                        pid: pre.packets[pid].deadline for pid in pre.plan_ids()
-                    }
-                    backup = self._backup_deadlines(plan_pre, claimed_now, pre)
-                    xi_b = SlackProfile(backup, pre.t, self._state.sentinel).nextts(
-                        packet.deadline
-                    )
-                    lam = pre.prevts(packet.deadline)
+                    pool = self._backup_pool(state.packets, plan_pre, self._real_entries())
+                    xi_b = self._pool_profile(pool, state.t).nextts(packet.deadline)
+                    lam = SlackProfile(
+                        plan_pre.values(), state.t, state.sentinel
+                    ).prevts(packet.deadline)
                     if u.deadline <= xi_b:
                         dpsi += PHI_INV * (w_j - u.weight.value)
                         detail_bits.append("swap")
                     else:
                         f_id, f_val = self._earliest_furlough(
-                            pre, lam, xi_b, "A.2.b"
+                            state, lam, xi_b, "A.2.b"
                         )
                         if f_id is None:
                             self._fail(
@@ -655,7 +613,7 @@ class Verifier:
         `p_weight` and `sub_weight` are the scheduled packet's weight
         and its substitute's weight (scaled), used to bound this
         substep's cost against the scheduled packet; both None at an
-        idle slot.
+        idle slot, where only ``pre.t`` is read.
         """
         t = pre.t
         entry = self._timetable.pop(t, None)
@@ -687,10 +645,9 @@ class Verifier:
                     case="ADV.1",
                 )
             claimed = self._real_entries()
-            plan = {q: pre.packets[q].deadline for q in pre.plan_ids()}
             claimed[pid] = t
             f_id, f_val = self._restore_backup(
-                pre, plan, set(claimed), pkt.deadline, "ADV.1"
+                pre, _plan_view(pre), claimed, pkt.deadline, "ADV.1"
             )
             w_g = pkt.weight.value
             self._require_frac(f_val <= w_g, "ADV.1", "cover outweighs the entry")
@@ -719,7 +676,7 @@ class Verifier:
             self._fail(TraceMismatch, "scheduling event at an idle slot")
         pre = state.clone()
         scheduled, event = planm_step(state)
-        self.mirror_events.append(event)
+        self.mirror_event = event
         return pre, scheduled, event
 
     def on_ordinary_step(self, t: int, p_id: int) -> EventReport:
@@ -799,10 +756,9 @@ class Verifier:
             self._fail(TraceMismatch, f"idle event for t={t} arrived at t={state.t}")
         if state.packets:
             self._fail(TraceMismatch, "idle slot recorded while packets are pending")
-        pre = state.clone()
-        adv = self.on_adversary_substep(pre, p_weight=None, sub_weight=None)
+        adv = self.on_adversary_substep(state, p_weight=None, sub_weight=None)
         state.advance_idle()
-        self.mirror_events.append(ScheduleEvent(t, None, "idle", None, {}))
+        self.mirror_event = ScheduleEvent(t, None, "idle", None, {})
         report = self._report(
             time=t,
             kind="idle",
@@ -854,24 +810,18 @@ class Verifier:
         if rec.ell_id in claimed:
             ell_slot = claimed[rec.ell_id]
             self._timetable[ell_slot] = ShadowEntry(w_ell, self._event_index)
-            plan_full = {pid: pre.packets[pid].deadline for pid in pre.plan_ids()}
             f_id, f_val = self._restore_backup(
-                pre, plan_full, set(claimed), ell.deadline, "L.InSeg(i)"
+                pre, _plan_view(pre), claimed, ell.deadline, "L.InSeg(i)"
             )
             self._require_frac(f_val <= w_ell, "L.InSeg(i)", "cover outweighs evictee")
             dpsi_initseg += PHI_INV * (w_ell - f_val)
             detail_bits.append(f"ell-unclaimed via {f_id if f_id is not None else 'virtual'}")
-        f1: tuple[int, int] | None = None
-        for fid in self._furloughed:
-            key = (pre.packets[fid].deadline, fid)
-            if f1 is None or key < f1:
-                f1 = key
-        if f1 is None or f1[0] >= ell.deadline:
+        f1_id = self._first_furlough(pre.packets, t - 1, ell.deadline - 1)
+        if f1_id is None:
             initseg_case = "L.InSeg.1"
             dpsi_initseg += -(PHI_INV * w_ell)
         else:
             initseg_case = "L.InSeg.2"
-            f1_id = f1[1]
             f1_val = pre.packets[f1_id].weight.value
             self._furloughed.remove(f1_id)
             self._furloughed.add(rec.ell_id)
@@ -959,24 +909,12 @@ class Verifier:
                 pid = h_ids[m] if m <= k else rec.rho_id
                 working[pid] = new_dw[m]
 
+        def working_plan() -> dict[int, int]:
+            return {pid: deadline for pid, (deadline, _) in working.items()}
+
         def working_backup_check(case: str) -> None:
-            claimed_set = set(self._real_entries())
-            deadlines = []
-            for fid in self._furloughed:
-                pkt = pre.packets.get(fid)
-                if pkt is None:
-                    self._fail(InvariantViolation, f"furloughed packet {fid} vanished")
-                deadlines.append(pkt.deadline)
-            for pid, (deadline, _) in working.items():
-                if pid not in claimed_set:
-                    deadlines.append(deadline)
-            slack, slot = SlackProfile(deadlines, t + 1, self._state.sentinel).floor
-            if slack < 0:
-                self._fail(
-                    InvariantViolation,
-                    f"working backup pool overfills slot {slot}",
-                    case=case,
-                )
+            pool = self._backup_pool(pre.packets, working_plan(), self._real_entries())
+            self._check_pool_floor(pool, t + 1, case)
 
         claimed = self._real_entries()
         window_live = [
@@ -1128,11 +1066,10 @@ class Verifier:
                     slot_a = claimed_now[h_ids[a]]
                     if any(bumped[m] for m in range(a + 1, b + 2)):
                         self._timetable[slot_a] = ShadowEntry(floors[a], self._event_index)
-                        plan_now = {pid: d for pid, (d, _) in working.items()}
                         f_id, f_val = self._restore_backup(
                             pre,
-                            plan_now,
-                            set(claimed_now),
+                            working_plan(),
+                            claimed_now,
                             working[h_ids[a]][0],
                             case + ".M.i",
                         )
@@ -1303,6 +1240,11 @@ class Verifier:
         return self._scale.rational(self._gain0)
 
 
+def _plan_view(state: PlanState) -> dict[int, int]:
+    """The plan of state as {packet id: deadline}."""
+    return {p.id: p.deadline for p in state.packets.values() if p.in_plan}
+
+
 def verify_trace(
     instance: Instance, trace: RunTrace, comparison: Schedule
 ) -> VerificationResult:
@@ -1363,7 +1305,7 @@ def verify_trace(
             verifier.on_leap_step(t, ev.leap)
         else:
             raise TraceMismatch(f"cannot audit event kind {ev.kind!r}")
-        mirror = verifier.mirror_events[-1]
+        mirror = verifier.mirror_event
         if mirror != ev:
             raise TraceMismatch(
                 f"trace event at t={t} diverges from the mirror: "

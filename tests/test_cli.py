@@ -63,6 +63,14 @@ class TestSimulate:
         assert result.exit_code == 1
         assert "num/den string" in result.output
 
+    def test_deeply_nested_instance_exits_1(self, runner, tmp_path):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("[" * 100_000 + "]" * 100_000 + "\n")
+        result = runner.invoke(main, ["simulate", "--instance", str(bad)])
+        assert result.exit_code == 1
+        assert "line 1: bad JSON" in result.output
+        assert "Traceback" not in result.output
+
     def test_horizon_cap_enforced(self, runner, w2_file, monkeypatch):
         monkeypatch.setenv("SCHED_HORIZON_CAP", "1")
         result = runner.invoke(main, ["simulate", "--instance", w2_file])

@@ -1,5 +1,6 @@
-"""Byte-exact pipeline outputs on instances with fractional weights, and
-on a long, nearly idle horizon.
+"""Byte-exact pipeline outputs on instances with fractional weights, on
+small instances that reach the verifier's rarer branches, and on a long,
+nearly idle horizon.
 
 Each fractional instance is an s-bounded generator instance (span 8, 150 steps)
 whose weights are divided by 6, 35 or 11 according to the packet id,
@@ -10,6 +11,7 @@ the planm trace, the greedy trace, the optimal schedule, the audit
 ledger and the printed lines.
 """
 
+import csv
 import hashlib
 from collections import Counter
 from fractions import Fraction
@@ -95,6 +97,63 @@ def test_outputs_match_pins(seed, tmp_path):
     kinds = Counter(getattr(ev, "kind", "arrival") for ev in trace.events)
     assert kinds["simple-leap"] > 0 and kinds["iterated-leap"] > 0
     assert digests == PINS[seed]
+
+
+# (steps, seed) -> (kind, case, detail fragment) of a ledger row the run
+# must reach, and the digests in PINS order.  The instances are
+# uniform-random with 4 packets per step and weights up to 20; they pin
+# the verifier's rarer branches: an arrival evicting a claimed plan
+# packet (A.2(i)), a placeholder popped at an idle slot, and an arrival
+# that furloughs its evictee and releases another furlough (A.2.b).
+BRANCH_PINS = {
+    (20, 3): (
+        ("arrival", "A.2", "unclaimed via"),
+        (
+            "abfc127156cdb40106c7907f1b51dea3badb9eb6f5c99c4b6855de496f3b78a2",
+            "9d361a39fcba24b80ce0e02d20abb06007ecbe0f4e07709b7e2cc27531a2a339",
+            "e7e6a3bec116dc04c9a66a76dacd852dfaeb7abb7cc8f925aac74aafce7da6ed",
+            "25b1dc8df7c53aa54de37160d873a590975f608a8ba7ac9dfcf72b4b62e4469a",
+            "ea72bf820df3023494e47f33a80bc096c8a49de426aee2239c5c41e33c6838da",
+        ),
+    ),
+    (8, 44): (
+        ("idle", "ADV.2", ""),
+        (
+            "59b121b337c0f4101d06a53bcf295a91e63d11969686e2bd08daada2ce4591b5",
+            "c622966882d6173140c35decb3bb3972b33abe1b8f62315670fbe056e2a1b221",
+            "cbfe062dfa446e6ac3268a20cbd2f0adabd4754c19949850893a3f97e947a3e3",
+            "065aee2aec2a10dd9e81917d8b3253f05309de4b41a11ef8a1394353570317f2",
+            "a97acf973d81fe7c52f144214cc998903394ec17a070056fcd152ca4537d0d9f",
+        ),
+    ),
+    (8, 0): (
+        ("arrival", "A.2.b", "released"),
+        (
+            "aa18d7b129f6cd40ab3fc39b70eee10a1433efa78af345a880f6d878a496c89a",
+            "773074f641ab600d3e34b242871a59839b020a4a40f7e36dbfa64a848d11def5",
+            "72faa53cd1d67feefc5b0ee4d961fc31e7eef79bc15fdd8538d412d1557742b9",
+            "45e64ad700f752f0c8990f9d3ccd089a6af57143d13bed5ae6e093c41c2beed0",
+            "5d9c024916faedc191516d9259ea6e21c369407098e3429610da1e49e316e23f",
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("steps, seed", sorted(BRANCH_PINS))
+def test_rare_branch_outputs_match_pins(steps, seed, tmp_path):
+    instance = generate(GeneratorConfig(
+        "uniform-random", steps, seed=seed, packets_per_step=4, weight_max=20
+    ))
+    digests, _ = pipeline(instance, tmp_path)
+    (kind, case, fragment), pins = BRANCH_PINS[steps, seed]
+    with open(tmp_path / "ledger.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert any(
+        row["kind"] == kind and row["case"].startswith(case)
+        and fragment in row["detail"]
+        for row in rows
+    )
+    assert digests == pins
 
 
 LONG_HORIZON = 10**4

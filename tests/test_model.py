@@ -110,6 +110,18 @@ def test_parse_rejects_non_string_weight(weight):
         parse_instance(f'{{"id": 1, "r": 0, "d": 1, "w": {weight}}}\n')
 
 
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("line", [
+    DEEP_JSON,                                      # nesting past the recursion limit
+    '{"id": 1, "r": 0, "d": %s, "w": "1/1"}' % ("9" * 5000),   # past the digit limit
+], ids=["deep-nesting", "huge-integer"])
+def test_parse_rejects_unreadable_json(line):
+    with pytest.raises(InstanceSyntaxError, match="line 1: bad JSON"):
+        parse_instance(line + "\n")
+
+
 def test_parse_keeps_validation_error_types():
     with pytest.raises(DuplicateIdError):
         parse_instance(

@@ -89,6 +89,12 @@ def test_parse_errors():
         parse_trace("H,1,planm\nS,0,1,ordinary,-,[1]\nG,0/1\n")   # dweights not a map
     with pytest.raises(TraceSyntaxError):                            # 1/7 is not over D = 1
         parse_trace('H,1,planm\nS,0,1,ordinary,-,{"3":"1/7(+1)"}\nG,0/1\n')
+    deep = "[" * 100_000 + "]" * 100_000                             # past the recursion limit
+    huge = "9" * 5000                                                # past the digit limit
+    for line in (f"A,0,{deep}", f"S,0,1,ordinary,{deep},-", f"S,0,1,ordinary,-,{deep}",
+                 f"A,0,{huge}", f"S,0,1,ordinary,{huge},-"):
+        with pytest.raises(TraceSyntaxError, match="trace line 2: bad JSON cell"):
+            parse_trace(f"H,1,planm\n{line}\nG,0/1\n")
 
 
 def test_error_carries_line_number():
