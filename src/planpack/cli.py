@@ -71,14 +71,14 @@ def _read_schedule(path: str) -> Schedule:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return parse_schedule(fh.read())
-    except ScheduleSyntaxError as exc:
+    except (ScheduleSyntaxError, UnicodeDecodeError) as exc:
         raise click.ClickException(f"{path}: {exc}") from exc
 
 
 def _read_trace(path: str) -> object:
     try:
         return load_trace(path)
-    except TraceSyntaxError as exc:
+    except (TraceSyntaxError, UnicodeDecodeError) as exc:
         raise click.ClickException(f"{path}: {exc}") from exc
 
 

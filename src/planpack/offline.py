@@ -4,17 +4,34 @@ for small instances.
 
 The admissible sets form a transversal matroid (packets matched to
 slots), so greedy admission in decreasing weight order with an
-augmenting-path feasibility test is exactly optimal.  The final
-assignment is canonicalized independently of the matching the search
-happened to build: slots ascending, each filled with the admitted
-packet of smallest (deadline, id) available there, which is also how
-feasibility of a fixed set is decided everywhere else in this package.
+augmenting-path feasibility test is exactly optimal.
+
+A failed search prunes the later ones.  It fails only when every slot
+it reached is held, and it tries every slot in the window of each
+packet it reaches, so those windows cover one closed interval whose
+every slot is held by a packet with its window inside: the interval is
+tight, with as many admitted packets inside it as it has slots.
+Admissions only grow, so it stays tight.  Two tight intervals I and J
+that overlap or touch form one: with N(X) the admitted packets inside
+X, N(I | J) >= N(I) + N(J) - N(I & J) >= |I| + |J| - |I & J|.  Every
+slot of a tight block is held by a packet with its window inside the
+block, so no augmenting path enters a block and leaves it: a slot in a
+block is a dead end for the search, and a packet whose window lies
+inside a block is rejected without one.  Neither changes the matching
+the search builds or the admitted set.
+
+The final assignment is canonicalized independently of that matching:
+slots ascending, each filled with the admitted packet of smallest
+(deadline, id) available there, which is also how feasibility of a
+fixed set is decided everywhere else in this package.
 Weights are compared and summed as integers over the instance's common
 denominator; the schedule's total is a rational, as in its file.
 """
 
 from __future__ import annotations
 
+import bisect
+import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -78,26 +95,57 @@ class Schedule:
 def canonical_assignment(instance: Instance, ids: set[int]) -> dict[int, int] | None:
     """Deterministic slot assignment of the given packets, or None if
     they do not fit.  Slots ascending; each takes the available packet
-    with the smallest (deadline, id)."""
+    with the smallest (deadline, id).  An earliest-deadline-first pass
+    over a heap of the released packets: a run of slots with nothing
+    released is jumped, so the cost is bounded by the packets, not the
+    horizon."""
     by_id = instance.by_id()
-    chosen = sorted(ids, key=lambda pid: (by_id[pid].deadline, pid))
+    chosen = sorted((by_id[pid] for pid in ids), key=lambda p: (p.release, p.id))
     assignment: dict[int, int] = {}
-    placed: set[int] = set()
-    if not chosen:
-        return assignment
-    last = max(by_id[pid].deadline for pid in chosen)
-    for slot in range(0, last + 1):
-        pick = None
-        for pid in chosen:
-            if pid not in placed and by_id[pid].release <= slot <= by_id[pid].deadline:
-                pick = pid
-                break
-        if pick is not None:
-            assignment[slot] = pick
-            placed.add(pick)
-    if len(placed) != len(chosen):
-        return None
+    ready: list[tuple[int, int]] = []
+    slot = 0
+    i = 0
+    while i < len(chosen) or ready:
+        if not ready:
+            slot = chosen[i].release
+        while i < len(chosen) and chosen[i].release <= slot:
+            heapq.heappush(ready, (chosen[i].deadline, chosen[i].id))
+            i += 1
+        deadline, pid = heapq.heappop(ready)
+        if deadline < slot:
+            return None
+        assignment[slot] = pid
+        slot += 1
     return assignment
+
+
+class TightBlocks:
+    """Slot intervals known to be tight: every slot in one is held by an
+    admitted packet whose window lies inside it.  The blocks are sorted,
+    disjoint and never adjacent, kept as parallel lists of first and
+    last slots; ``slots`` holds every slot of every block."""
+
+    def __init__(self) -> None:
+        self.starts: list[int] = []
+        self.ends: list[int] = []
+        self.slots: set[int] = set()
+
+    def add(self, lo: int, hi: int) -> None:
+        """Record the tight interval [lo, hi], merged with every block it
+        overlaps or touches."""
+        self.slots.update(range(lo, hi + 1))
+        i = bisect.bisect_left(self.ends, lo - 1)
+        j = bisect.bisect_right(self.starts, hi + 1)
+        if i < j:
+            lo = min(lo, self.starts[i])
+            hi = max(hi, self.ends[j - 1])
+        self.starts[i:j] = [lo]
+        self.ends[i:j] = [hi]
+
+    def covers(self, release: int, deadline: int) -> bool:
+        """Whether [release, deadline] lies inside one block."""
+        i = bisect.bisect_right(self.starts, release) - 1
+        return i >= 0 and deadline <= self.ends[i]
 
 
 def optimal_schedule(instance: Instance) -> Schedule:
@@ -106,18 +154,23 @@ def optimal_schedule(instance: Instance) -> Schedule:
     match: dict[int, int] = {}
     # each packet's slots, latest first
     slots = {p.id: range(p.deadline, p.release - 1, -1) for p in instance.packets}
+    blocks = TightBlocks()
+    tight = blocks.slots
 
     def augment(root: int) -> bool:
         """Depth-first search for an augmenting path from root.  pids[i]
         is a packet on the path, untried[i] its slots not yet tried, and
-        path[i] the slot it is trying, held by pids[i + 1]."""
+        path[i] the slot it is trying, held by pids[i + 1].  A slot in a
+        tight block is a dead end.  A failed search records the windows
+        of every packet it reached, which cover one tight interval."""
         visited: set[int] = set()
         pids = [root]
+        reached = [root]
         untried = [iter(slots[root])]
         path: list[int] = []
         while untried:
             for slot in untried[-1]:
-                if slot in visited:
+                if slot in visited or slot in tight:
                     continue
                 visited.add(slot)
                 path.append(slot)
@@ -126,6 +179,7 @@ def optimal_schedule(instance: Instance) -> Schedule:
                     match.update(zip(path, pids))
                     return True
                 pids.append(occupant)
+                reached.append(occupant)
                 untried.append(iter(slots[occupant]))
                 break
             else:
@@ -133,12 +187,14 @@ def optimal_schedule(instance: Instance) -> Schedule:
                 pids.pop()
                 if path:
                     path.pop()
+        blocks.add(min(slots[q].stop for q in reached) + 1,
+                   max(slots[q].start for q in reached))
         return False
 
     admitted: set[int] = set()
     total = 0
     for p in order:
-        if augment(p.id):
+        if not blocks.covers(p.release, p.deadline) and augment(p.id):
             admitted.add(p.id)
             total += weights[p.id].value
     assignment = canonical_assignment(instance, admitted)

@@ -62,3 +62,14 @@ def chain() -> Instance:
     every chain packet one slot earlier: an augmenting path 1200 deep."""
     n = CHAIN_LENGTH
     return validate([mk(i, i, i + 1, 2) for i in range(n)] + [mk(n, n, n, 1)])
+
+
+FAR = 10**9
+
+
+@pytest.fixture
+def far() -> Instance:
+    """Four packets released around 10**9 and one at slot 0: a pass
+    over every slot of the horizon would take 10**9 steps."""
+    return validate([mk(1, FAR, FAR + 2, 3), mk(2, FAR, FAR, 5), mk(3, FAR + 1, FAR + 1, 1),
+                     mk(4, FAR + 1, FAR + 1, 2), mk(5, 0, 0, 1)])

@@ -10,6 +10,7 @@ from click.testing import CliRunner
 from planpack.cli import main
 from planpack.model import load_instance, save_instance
 from planpack.offline import optimal_schedule, parse_schedule
+from conftest import FAR
 
 
 @pytest.fixture
@@ -108,6 +109,15 @@ class TestOpt:
         assert result.exit_code == 0, result.output
         assert result.output == "opt = 2401\n"
 
+    def test_far_releases(self, runner, far, tmp_path):
+        path = tmp_path / "far.jsonl"
+        out = tmp_path / "far.opt"
+        save_instance(far, str(path))
+        result = runner.invoke(main, ["opt", "--instance", str(path), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert result.output == "opt = 11\n"
+        assert out.read_text() == f"0,5\n{FAR},2\n{FAR + 1},4\n{FAR + 2},1\nW,11/1\n"
+
 
 class TestVerify:
     def run_pipeline(self, runner, instance_file, tmp_path, algorithm="planm"):
@@ -169,6 +179,20 @@ class TestVerify:
         )
         assert result.exit_code == 1
         assert "greedy" in result.output
+
+    @pytest.mark.parametrize("bad", ["trace", "comparison"])
+    def test_non_utf8_file_exits_1(self, runner, w2_file, tmp_path, bad):
+        files = dict(zip(("trace", "comparison"), self.run_pipeline(runner, w2_file, tmp_path)))
+        files[bad] = str(tmp_path / "garbled.txt")
+        (tmp_path / "garbled.txt").write_bytes(b"\xff\n")
+        result = runner.invoke(
+            main,
+            ["verify", "--instance", w2_file, "--trace", files["trace"],
+             "--comparison", files["comparison"]],
+        )
+        assert result.exit_code == 1
+        assert result.output.startswith(f"Error: {files[bad]}: ")
+        assert "can't decode byte 0xff" in result.output
 
     def test_empty_instance(self, runner, tmp_path):
         empty = tmp_path / "empty.jsonl"
