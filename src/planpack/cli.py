@@ -163,13 +163,15 @@ def verify(instance_path: str, trace_path: str, comparison_path: str,
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(LEDGER_COLUMNS)
             for rep in result.reports:
-                writer.writerow((
-                    rep.index, rep.time, rep.kind, rep.case, rep.detail,
+                # a report of an idle run stands for one row per slot
+                cells = (
+                    rep.kind, rep.case, rep.detail,
                     _display(rational(rep.advgain)), _display(rational(rep.dweights)),
                     golden_text(rep.dpsi_adv), golden_text(rep.dpsi_initseg),
                     golden_text(rep.dpsi_window), golden_text(rep.dpsi_total),
                     golden_text(rep.psi_after), golden_text(rep.margin),
-                ))
+                )
+                writer.writerows((rep.index + k, rep.time + k) + cells for k in range(rep.slots))
     s = result.summary
     click.echo(
         f"ok: {s.events} events, advgain {_display(s.advgain_total)}, "

@@ -439,10 +439,13 @@ class PlanState:
             self.refresh()
         return LeapInfo(pid, rho.id, ell.id, delta, gamma, sub.packet is None)
 
-    def advance_idle(self) -> None:
+    def advance_idle(self, slots: int) -> None:
+        """Move past `slots` slots in which nothing is pending."""
         if self.packets:
             raise PlanError("idle step with packets still pending")
-        self.t += 1
+        if slots < 1:
+            raise PlanError(f"idle stretch of {slots} slots")
+        self.t += slots
         self.refresh()
 
     def _advance_time(self) -> None:

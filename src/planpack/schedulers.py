@@ -12,7 +12,11 @@ raised weights sit strictly above everything older at the same value.
 The greedy baseline transmits the heaviest pending packet (always a
 plan member) and adjusts no weights.  Both run through the same loop,
 which feeds arrivals to the plan, asks the policy for one transmission
-per slot, and logs a replayable trace.
+per busy slot, and logs a replayable trace.  That loop is the only
+clock: when nothing is pending it jumps to the next release (or past
+the horizon) and logs the whole idle stretch as one event, so a run
+costs per packet, not per slot.  The audit replays these events with no
+clock of its own.
 
 Weights are integers over the instance's common denominator; gains are
 summed as integers and turned into rationals once, for the result.
@@ -20,6 +24,7 @@ summed as integers and turned into rationals once, for the result.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from numbers import Rational
 
@@ -90,15 +95,16 @@ class ArrivalEvent:
 
 @dataclass(frozen=True, slots=True)
 class ScheduleEvent:
-    """One transmission slot.  p_id None means the slot idled (nothing
-    pending).  dweights maps each weight-adjusted packet to its new
-    weight; old values are in the leap record."""
+    """One transmission slot, or with kind "idle" (p_id None) the slots
+    [t, t + slots) in which nothing was pending.  dweights maps each
+    weight-adjusted packet to its new weight; old values are in the leap record."""
 
     t: int
     p_id: int | None
     kind: str
     leap: LeapRecord | None
     dweights: dict[int, TaggedWeight]
+    slots: int = 1
 
 
 @dataclass(slots=True)
@@ -238,22 +244,29 @@ def greedy_step(state: PlanState) -> tuple[PendingPacket, ScheduleEvent]:
 
 
 class _MonotonicityMonitor:
-    """Tracks minwt per absolute slot across events; thresholds may only rise."""
+    """Thresholds may only rise.  minwt is constant on each segment, so
+    an observation is kept as each segment's first slot and weight.  It
+    covers every slot the next one does (t only grows), so comparing two
+    at every segment start of either compares them at every slot."""
 
     def __init__(self, scale: WeightScale) -> None:
         self.scale = scale
-        self.seen: dict[int, TaggedWeight] = {}
+        self.starts: list[int] = []
+        self.weights: list[TaggedWeight] = []
 
     def observe(self, state: PlanState, context: str) -> None:
-        for tau in range(state.t, state.sentinel + 1):
-            now = state.minwt(tau)
-            before = self.seen.get(tau)
-            if before is not None and now < before:
+        starts = [lo + 1 for lo in state.tights[:-1]]
+        weights = [state.minwt(tau) for tau in starts]
+        for tau in sorted(set(starts).union(s for s in self.starts if s >= state.t)):
+            i = bisect_right(self.starts, tau) - 1      # -1 at the first observation
+            now = weights[bisect_right(starts, tau) - 1]
+            if i >= 0 and now < self.weights[i]:
                 raise MonotonicityError(
-                    f"minwt({tau}) fell from {format_tagged(before, self.scale)} "
+                    f"minwt({tau}) fell from {format_tagged(self.weights[i], self.scale)} "
                     f"to {format_tagged(now, self.scale)} {context}"
                 )
-            self.seen[tau] = now
+        self.starts = starts
+        self.weights = weights
 
 
 def run(
@@ -274,9 +287,10 @@ def run(
     transmitted: list[tuple[int, int]] = []
     gain0 = 0
     gain_current = 0
-    arrivals = list(instance.packets)
+    arrivals = instance.packets
     i = 0
-    for t in range(0, instance.horizon + 1):
+    while state.t <= instance.horizon:
+        t = state.t
         while i < len(arrivals) and arrivals[i].release == t:
             p = arrivals[i]
             state.apply_arrival(p.id, p.release, p.deadline, weights[p.id])
@@ -285,8 +299,9 @@ def run(
                 monitor.observe(state, f"after arrival of {p.id} at t={t}")
             i += 1
         if not state.packets:
-            state.advance_idle()
-            events.append(ScheduleEvent(t, None, "idle", None, {}))
+            stop = arrivals[i].release if i < len(arrivals) else instance.horizon + 1
+            state.advance_idle(stop - t)
+            events.append(ScheduleEvent(t, None, "idle", None, {}, stop - t))
             continue
         scheduled, event = step(state)
         events.append(event)

@@ -13,6 +13,13 @@ the packet JSON matches the instance file shape.  JSON cells contain
 commas, so S lines are parsed with a raw JSON decoder walking the tail
 of the line rather than a comma split.
 
+In memory, an idle stretch is one event, ``ScheduleEvent.slots`` long;
+in the file it is one idle line per slot.  ``format_trace`` expands it,
+and ``parse_trace`` folds consecutive idle lines at consecutive times,
+with no packet, leap record or weight change, back into one stretch, so
+files stay version 1.  Any other idle line stays an event of its own,
+for the audit to reject.
+
 In memory, the weights of S lines are integers over the common
 denominator of the trace's arrival weights (``RunTrace.scale``), so a
 trace is read in two passes: the arrivals fix the scale, then the S
@@ -37,7 +44,6 @@ from .schedulers import (
 __all__ = [
     "TraceSyntaxError",
     "format_event",
-    "format_leap",
     "format_trace",
     "parse_trace",
     "load_trace",
@@ -119,17 +125,12 @@ def _cell(obj: dict) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
-def format_leap(leap: LeapRecord, scale: WeightScale) -> str:
-    """The JSON cell of a leap record whose weights are in scale's units."""
-    return _cell(_leap_json(leap, scale))
-
-
 def format_event(ev: ArrivalEvent | ScheduleEvent, scale: WeightScale) -> str:
-    """The trace line of one event whose weights are in scale's units."""
+    """The trace line of one event (the first of an idle stretch) in scale's units."""
     if isinstance(ev, ArrivalEvent):
         return f"A,{ev.t},{_cell(_packet_json(ev.packet))}"
     pid = "-" if ev.p_id is None else str(ev.p_id)
-    leap = "-" if ev.leap is None else format_leap(ev.leap, scale)
+    leap = "-" if ev.leap is None else _cell(_leap_json(ev.leap, scale))
     dw = (
         "-"
         if not ev.dweights
@@ -141,7 +142,10 @@ def format_event(ev: ArrivalEvent | ScheduleEvent, scale: WeightScale) -> str:
 def format_trace(trace: RunTrace) -> str:
     scale = trace.scale
     lines = [f"H,{FORMAT_VERSION},{trace.algorithm}"]
-    lines.extend(format_event(ev, scale) for ev in trace.events)
+    for ev in trace.events:
+        lines.append(format_event(ev, scale))
+        if isinstance(ev, ScheduleEvent) and ev.kind == "idle":
+            lines.extend(f"S,{t},-,idle,-,-" for t in range(ev.t + 1, ev.t + ev.slots))
     lines.append(f"G,{format_rational(trace.gain0)}")
     return "\n".join(lines) + "\n"
 
@@ -189,7 +193,8 @@ def _schedule_event(record: tuple, scale: WeightScale) -> ScheduleEvent:
 def parse_trace(text: str) -> RunTrace:
     algorithm: str | None = None
     gain: Fraction | None = None
-    # ArrivalEvents, and S lines as records until the scale is known
+    # ArrivalEvents, idle stretches as [t, slots], and other S lines as
+    # records until the scale is known
     events: list = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -246,7 +251,11 @@ def parse_trace(text: str) -> RunTrace:
             dw_obj, pos = _take_cell(tail, pos, lineno)
             if pos != len(tail):
                 raise TraceSyntaxError(lineno, "trailing content")
-            events.append((lineno, t, pid, kind, leap_obj, dw_obj))
+            idle = kind == "idle" and pid is None and leap_obj is None and dw_obj in (None, {})
+            if idle and events and isinstance(events[-1], list) and sum(events[-1]) == t:
+                events[-1][1] += 1      # the stretch [t0, t0 + slots) reaches t
+            else:
+                events.append([t, 1] if idle else (lineno, t, pid, kind, leap_obj, dw_obj))
         elif tag == "G":
             try:
                 gain = parse_rational(rest)
@@ -260,7 +269,9 @@ def parse_trace(text: str) -> RunTrace:
         raise TraceSyntaxError(0, "missing gain footer")
     scale = WeightScale(ev.packet.weight for ev in events if isinstance(ev, ArrivalEvent))
     for i, ev in enumerate(events):
-        if isinstance(ev, tuple):
+        if isinstance(ev, list):
+            events[i] = ScheduleEvent(ev[0], None, "idle", None, {}, ev[1])
+        elif isinstance(ev, tuple):
             events[i] = _schedule_event(ev, scale)
     return RunTrace(algorithm, events, gain, scale)
 

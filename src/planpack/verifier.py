@@ -21,15 +21,19 @@ matches a from-scratch recomputation) are re-checked after every event.
 Any failure raises a `VerifierError` subclass carrying enough context
 to replay the event.
 
-The module never trusts the trace: the mirror recomputes every decision
-and the replay driver `verify_trace` rejects the first divergence.
+The module never trusts the trace: each op takes the recorded event,
+recomputes it on the mirror and rejects it unless the two are equal in
+full.  The replay has no clock of its own.  `verify_trace` only hands
+over the recorded events in order; the `Verifier` checks that order from
+its own state (the instance's next arrival, the mirror's time, the
+horizon).  An idle stretch is one event, as in `schedulers.run`: its
+audit costs per comparison slot inside it, not per slot.
 
 All accounting runs on integers: weights, gains and the coefficients of
 every golden number are in units of 1/D, D the instance's common weight
 denominator.  The per-event reports keep those units, and
 `VerificationResult.scale` turns them into the rationals they stand for;
-the summary totals, the public `Verifier.gain0`/`potential` and error
-messages are converted to rationals.
+the summary totals and error messages are converted to rationals.
 """
 
 from __future__ import annotations
@@ -54,12 +58,11 @@ from .offline import Schedule
 from .plan import PendingPacket, PlanState, SlackProfile
 from .schedulers import (
     ArrivalEvent,
-    LeapRecord,
     RunTrace,
     ScheduleEvent,
     planm_step,
 )
-from .trace_io import format_event, format_leap
+from .trace_io import format_event
 
 __all__ = [
     "VerifierError",
@@ -143,10 +146,10 @@ class ShadowEntry:
     """Timetable slot owed a fixed weight (scaled); the packet reference is gone."""
 
     weight: int
-    created_at: int
 
 
 TimetableEntry = RealEntry | ShadowEntry
+Event = ArrivalEvent | ScheduleEvent
 
 
 @dataclass(frozen=True, slots=True)
@@ -157,15 +160,16 @@ class AdversaryReport:
     case: str
     scheduled_weight: int
     dpsi: GoldenNumber
-    removed_furlough: int | None
 
 
 @dataclass(frozen=True, slots=True)
 class EventReport:
-    """One ledger row; weights and golden numbers in scaled units."""
+    """The ledger rows of one event, one per slot from ``time`` on (several
+    only for an idle run); weights and golden numbers in scaled units."""
 
     index: int
     time: int
+    slots: int
     kind: str
     case: str
     detail: str
@@ -175,7 +179,6 @@ class EventReport:
     dpsi_initseg: GoldenNumber
     dpsi_window: GoldenNumber
     dpsi_total: GoldenNumber
-    advgain_window: int
     psi_after: GoldenNumber
     margin: GoldenNumber
 
@@ -209,19 +212,17 @@ class VerificationResult:
 class Verifier:
     """Replays one run of the plan scheduler against a comparison schedule.
 
-    Feed it the arrival stream and the scheduling events in recorded
-    order via `on_arrival`, `on_ordinary_step`, `on_leap_step` and
-    `on_idle`, then call `finalize`.  Each op validates the event
-    against a mirrored recomputation, applies the case rules, and
-    re-checks the invariants; `finalize` closes the books and returns
-    the full `VerificationResult`.
+    Feed it the recorded events in order via `on_arrival`,
+    `on_ordinary_step`, `on_leap_step` and `on_idle`, then call
+    `finalize`.  Each op checks that its event is due, compares it in
+    full with the mirror's recomputation, applies the case rules, and
+    re-checks the invariants; `finalize` checks that the run reached the
+    horizon, closes the books and returns the full `VerificationResult`.
     """
 
     def __init__(self, instance: Instance, comparison: Schedule) -> None:
         try:
             comparison.check_feasible(instance)
-        except VerifierError:
-            raise
         except ValueError as exc:
             raise InfeasibleComparison(str(exc)) from exc
         self.instance = instance
@@ -240,7 +241,7 @@ class Verifier:
         self._gain_current = 0
         self._event_index = 0
         self._reports: list[EventReport] = []
-        self.mirror_event: ScheduleEvent | None = None
+        self._arrived = 0
         self._finalized = False
 
     # ------------------------------------------------------------------
@@ -277,6 +278,41 @@ class Verifier:
     def _require_frac(self, ok: bool, case: str, what: str) -> None:
         if not ok:
             self._fail(InequalityViolation, what, case=case)
+
+    # ------------------------------------------------------------------
+    # event order
+
+    def _describe(self, ev: Event) -> str:
+        """An event's trace line, with the slots of an idle stretch."""
+        line = format_event(ev, self._scale)
+        if isinstance(ev, ScheduleEvent) and ev.kind == "idle":
+            return f"{line} for slots {ev.t}..{ev.t + ev.slots - 1}"
+        return line
+
+    def _compare(self, recorded: Event, mirror: Event) -> None:
+        if recorded != mirror:
+            self._fail(
+                TraceMismatch,
+                "trace event diverges from the mirror: "
+                f"{self._describe(recorded)} != {self._describe(mirror)}",
+            )
+
+    def _next_packet(self) -> Packet | None:
+        """The instance's first packet not replayed yet."""
+        packets = self.instance.packets
+        return packets[self._arrived] if self._arrived < len(packets) else None
+
+    def _begin_turn(self, event: ScheduleEvent) -> None:
+        """A scheduling event is due after every arrival at t, up to the horizon."""
+        if self._finalized:
+            raise VerifierError("verifier already finalized")
+        t = self._state.t
+        due = self._next_packet()
+        if t > self.instance.horizon or (due is not None and due.release == t):
+            self._fail(
+                TraceMismatch,
+                f"no scheduling event is due at t={t}; trace has {self._describe(event)}",
+            )
 
     # ------------------------------------------------------------------
     # set views
@@ -387,7 +423,6 @@ class Verifier:
 
     def _scan_timetable(self) -> None:
         state = self._state
-        seen: set[int] = set()
         for slot, entry in sorted(self._timetable.items()):
             if slot < state.t or slot > self.instance.horizon:
                 self._fail(
@@ -396,9 +431,6 @@ class Verifier:
                 )
             if isinstance(entry, RealEntry):
                 pid = entry.packet_id
-                if pid in seen:
-                    self._fail(InvariantViolation, f"packet {pid} listed twice")
-                seen.add(pid)
                 pkt = state.packets.get(pid)
                 if pkt is None or not pkt.in_plan:
                     self._fail(
@@ -459,18 +491,20 @@ class Verifier:
         time: int,
         kind: str,
         case: str,
-        detail: str,
-        advgain: int,
-        dweights: int,
-        dpsi_adv: GoldenNumber,
-        dpsi_initseg: GoldenNumber,
-        dpsi_window: GoldenNumber,
-        advgain_window: int,
-        margin: GoldenNumber,
+        detail: str = "",
+        advgain: int = 0,
+        dweights: int = 0,
+        dpsi_adv: GoldenNumber = ZERO,
+        dpsi_initseg: GoldenNumber = ZERO,
+        dpsi_window: GoldenNumber = ZERO,
+        margin: GoldenNumber = ZERO,
+        slots: int = 1,
     ) -> EventReport:
+        """Close an event: record its report, then re-check the invariants."""
         report = EventReport(
             index=self._event_index,
             time=time,
+            slots=slots,
             kind=kind,
             case=case,
             detail=detail,
@@ -480,28 +514,30 @@ class Verifier:
             dpsi_initseg=dpsi_initseg,
             dpsi_window=dpsi_window,
             dpsi_total=dpsi_adv + dpsi_initseg + dpsi_window,
-            advgain_window=advgain_window,
             psi_after=self._potential,
             margin=margin,
         )
         self._reports.append(report)
-        self._event_index += 1
+        self._event_index += slots
+        self._post_event_checks()
         return report
 
     # ------------------------------------------------------------------
     # arrivals
 
-    def on_arrival(self, packet: Packet) -> EventReport:
+    def on_arrival(self, event: ArrivalEvent) -> EventReport:
+        """Replay an arrival: the instance's next packet, at the mirror's t."""
         if self._finalized:
             raise VerifierError("verifier already finalized")
         state = self._state
-        if packet.release != state.t:
+        packet = self._next_packet()
+        if packet is None or packet.release != state.t:
             self._fail(
                 TraceMismatch,
-                f"arrival of {packet.id} recorded at t={state.t}, released {packet.release}",
+                f"no arrival is due at t={state.t}; trace has {self._describe(event)}",
             )
-        if packet.id not in self._weights:
-            self._fail(TraceMismatch, f"arrival of unknown packet {packet.id}")
+        self._compare(event, ArrivalEvent(state.t, packet))
+        self._arrived += 1
         outcome = state.apply_arrival(
             packet.id, packet.release, packet.deadline, self._weights[packet.id]
         )
@@ -516,7 +552,7 @@ class Verifier:
                 slot = self._slot_of[packet.id]
                 if slot in self._timetable:
                     self._fail(InvariantViolation, f"slot {slot} already owed")
-                self._timetable[slot] = ShadowEntry(w_j, self._event_index)
+                self._timetable[slot] = ShadowEntry(w_j)
                 detail_bits.append(f"shadow@{slot}")
         else:
             # an arrival only flips in_plan flags, so the plan before it
@@ -532,7 +568,7 @@ class Verifier:
             if u_id is not None and u_id in claimed:
                 u_slot = claimed[u_id]
                 w_u = u.weight.value
-                self._timetable[u_slot] = ShadowEntry(w_u, self._event_index)
+                self._timetable[u_slot] = ShadowEntry(w_u)
                 f_id, f_val = self._restore_backup(
                     state, plan_pre, claimed, u.deadline, "A.2(i)"
                 )
@@ -581,26 +617,19 @@ class Verifier:
 
         self._require_sign(dpsi, case, "arrival potential delta")
         self._potential += dpsi
-        report = self._report(
+        return self._report(
             time=packet.release,
             kind="arrival",
             case=case,
             detail=" ".join(detail_bits),
-            advgain=0,
-            dweights=0,
-            dpsi_adv=ZERO,
-            dpsi_initseg=ZERO,
             dpsi_window=dpsi,
-            advgain_window=0,
             margin=dpsi,
         )
-        self._post_event_checks()
-        return report
 
     # ------------------------------------------------------------------
     # the comparison schedule's turn at the current slot
 
-    def on_adversary_substep(
+    def _adversary_substep(
         self,
         pre: PlanState,
         *,
@@ -609,7 +638,6 @@ class Verifier:
     ) -> AdversaryReport:
         """Consume the timetable entry at the current slot, if any.
 
-        Driven internally by the scheduling ops; exposed for tests.
         `p_weight` and `sub_weight` are the scheduled packet's weight
         and its substitute's weight (scaled), used to bound this
         substep's cost against the scheduled packet; both None at an
@@ -619,7 +647,7 @@ class Verifier:
         entry = self._timetable.pop(t, None)
         idle = p_weight is None
         if entry is None:
-            report = AdversaryReport("ADV.0", 0, ZERO, None)
+            report = AdversaryReport("ADV.0", 0, ZERO)
         elif isinstance(entry, ShadowEntry):
             limit = 0 if idle else pre.minwt(t).value
             if entry.weight > limit:
@@ -628,7 +656,7 @@ class Verifier:
                     f"placeholder popped at slot {t} outweighs the plan threshold",
                     case="ADV.2",
                 )
-            report = AdversaryReport("ADV.2", entry.weight, ZERO, None)
+            report = AdversaryReport("ADV.2", entry.weight, ZERO)
         else:
             if idle:
                 self._fail(
@@ -651,9 +679,7 @@ class Verifier:
             )
             w_g = pkt.weight.value
             self._require_frac(f_val <= w_g, "ADV.1", "cover outweighs the entry")
-            report = AdversaryReport(
-                "ADV.1", w_g, PHI_INV * (w_g - f_val), f_id
-            )
+            report = AdversaryReport("ADV.1", w_g, PHI_INV * (w_g - f_val))
         if not idle:
             bound = (
                 report.dpsi
@@ -668,31 +694,28 @@ class Verifier:
     # ------------------------------------------------------------------
     # scheduling events
 
-    def _mirror_step(self, t: int) -> tuple[PlanState, PendingPacket, ScheduleEvent]:
+    def _mirror_step(
+        self, event: ScheduleEvent, kinds: tuple[str, ...]
+    ) -> tuple[PlanState, PendingPacket, ScheduleEvent]:
+        """Replay a transmission of one of kinds on the mirror; returns the
+        state before it, the packet sent and the mirror's (= recorded) event."""
+        self._begin_turn(event)
         state = self._state
-        if t != state.t:
-            self._fail(TraceMismatch, f"scheduling event for t={t} arrived at t={state.t}")
+        if event.kind not in kinds:
+            self._fail(TraceMismatch, f"{self._describe(event)} is not {' or '.join(kinds)}")
         if not state.packets:
-            self._fail(TraceMismatch, "scheduling event at an idle slot")
+            self._fail(TraceMismatch, f"trace has {self._describe(event)} at an idle slot")
         pre = state.clone()
-        scheduled, event = planm_step(state)
-        self.mirror_event = event
-        return pre, scheduled, event
+        scheduled, mirror = planm_step(state)
+        self._compare(event, mirror)
+        return pre, scheduled, mirror
 
-    def on_ordinary_step(self, t: int, p_id: int) -> EventReport:
-        if self._finalized:
-            raise VerifierError("verifier already finalized")
-        pre, scheduled, event = self._mirror_step(t)
-        if event.kind != "ordinary":
-            self._fail(TraceMismatch, f"recorded ordinary step, mirror chose {event.kind}")
-        if event.p_id != p_id:
-            self._fail(
-                TraceMismatch,
-                f"recorded packet {p_id}, mirror scheduled {event.p_id}",
-            )
+    def on_ordinary_step(self, event: ScheduleEvent) -> EventReport:
+        pre, scheduled, _ = self._mirror_step(event, ("ordinary",))
+        t, p_id = event.t, event.p_id
         w_p = scheduled.weight.value
         w_ell = pre.minwt(t).value
-        adv = self.on_adversary_substep(
+        adv = self._adversary_substep(
             pre, p_weight=w_p, sub_weight=pre.substitute(p_id).weight.value
         )
         beta = pre.nextts(t)
@@ -716,7 +739,7 @@ class Verifier:
             g_slot = anchors[g_id]
             w_g = pre.packets[g_id].weight.value
             f_id, f_val = self._earliest_furlough(pre, t - 1, self._state.sentinel, case)
-            self._timetable[g_slot] = ShadowEntry(w_ell, self._event_index)
+            self._timetable[g_slot] = ShadowEntry(w_ell)
             credit = w_g - w_ell
             self._require_frac(f_val <= w_ell, case, "cover outweighs the plan minimum")
             self._require_frac(w_g <= w_p, case, "replaced entry outweighs the transmission")
@@ -732,64 +755,57 @@ class Verifier:
         self._require_sign(margin, case, "scheduling inequality")
         self._gain0 += scheduled.original_weight
         self._gain_current += w_p
-        report = self._report(
+        return self._report(
             time=t,
             kind="ordinary",
             case=case,
             detail=" ".join(detail_bits),
             advgain=advgain,
-            dweights=0,
             dpsi_adv=adv.dpsi,
-            dpsi_initseg=ZERO,
             dpsi_window=dpsi_alg,
-            advgain_window=credit,
             margin=margin,
         )
-        self._post_event_checks()
-        return report
 
-    def on_idle(self, t: int) -> EventReport:
-        if self._finalized:
-            raise VerifierError("verifier already finalized")
+    def on_idle(self, event: ScheduleEvent) -> list[EventReport]:
+        """Replay an idle stretch, which must run from t to the next
+        release, or past the horizon.
+
+        Each slot in it that the timetable owes gets the comparison
+        schedule's turn and a report of its own (ADV.2).  Each run of
+        entry-free slots between them gets one ADV.0 report carrying its
+        slot count, and one round of post-event checks.  That round
+        stands for one per slot: inside the run nothing the checks read
+        changes except t (no packet is pending, so the furloughs, the
+        plan and the potential stay put) and the timetable holds no slot
+        there, so a per-slot repeat of a passing round cannot fail.
+        """
+        self._begin_turn(event)
         state = self._state
-        if t != state.t:
-            self._fail(TraceMismatch, f"idle event for t={t} arrived at t={state.t}")
         if state.packets:
-            self._fail(TraceMismatch, "idle slot recorded while packets are pending")
-        adv = self.on_adversary_substep(state, p_weight=None, sub_weight=None)
-        state.advance_idle()
-        self.mirror_event = ScheduleEvent(t, None, "idle", None, {})
-        report = self._report(
-            time=t,
-            kind="idle",
-            case=adv.case,
-            detail="",
-            advgain=adv.scheduled_weight,
-            dweights=0,
-            dpsi_adv=adv.dpsi,
-            dpsi_initseg=ZERO,
-            dpsi_window=ZERO,
-            advgain_window=0,
-            margin=ZERO,
-        )
-        self._post_event_checks()
-        return report
+            self._fail(TraceMismatch, f"trace has {self._describe(event)} with packets pending")
+        due = self._next_packet()
+        stop = self.instance.horizon + 1 if due is None else due.release
+        self._compare(event, ScheduleEvent(state.t, None, "idle", None, {}, stop - state.t))
+        reports = []
+        for slot in sorted(s for s in self._timetable if s < stop) + [stop]:
+            if slot > state.t:
+                reports.append(self._idle_report(slot - state.t, "ADV.0", 0))
+            if slot < stop:
+                adv = self._adversary_substep(state, p_weight=None, sub_weight=None)
+                reports.append(self._idle_report(1, adv.case, adv.scheduled_weight))
+        return reports
+
+    def _idle_report(self, slots: int, case: str, advgain: int) -> EventReport:
+        time = self._state.t
+        self._state.advance_idle(slots)
+        return self._report(time=time, kind="idle", case=case, advgain=advgain, slots=slots)
 
     # ------------------------------------------------------------------
     # leap events
 
-    def on_leap_step(self, t: int, leap: LeapRecord) -> EventReport:
-        if self._finalized:
-            raise VerifierError("verifier already finalized")
-        pre, scheduled, event = self._mirror_step(t)
-        if event.kind not in ("simple-leap", "iterated-leap"):
-            self._fail(TraceMismatch, f"recorded leap step, mirror chose {event.kind}")
-        if event.leap != leap:
-            self._fail(
-                TraceMismatch,
-                "recorded leap record diverges from the mirror: "
-                f"{format_leap(leap, self._scale)} != {format_leap(event.leap, self._scale)}",
-            )
+    def on_leap_step(self, event: ScheduleEvent) -> EventReport:
+        pre, scheduled, _ = self._mirror_step(event, ("simple-leap", "iterated-leap"))
+        t = event.t
         rec = event.leap
         w_p = scheduled.weight.value
         sub_value = pre.substitute(rec.p_id).weight.value
@@ -799,7 +815,7 @@ class Verifier:
                 "recorded substitute weight disagrees with the plan",
                 case="L.window",
             )
-        adv = self.on_adversary_substep(pre, p_weight=w_p, sub_weight=sub_value)
+        adv = self._adversary_substep(pre, p_weight=w_p, sub_weight=sub_value)
         detail_bits = [f"adv={adv.case}"]
 
         # first-segment stage: the plan's lightest early packet leaves
@@ -809,7 +825,7 @@ class Verifier:
         claimed = self._real_entries()
         if rec.ell_id in claimed:
             ell_slot = claimed[rec.ell_id]
-            self._timetable[ell_slot] = ShadowEntry(w_ell, self._event_index)
+            self._timetable[ell_slot] = ShadowEntry(w_ell)
             f_id, f_val = self._restore_backup(
                 pre, _plan_view(pre), claimed, ell.deadline, "L.InSeg(i)"
             )
@@ -1041,7 +1057,7 @@ class Verifier:
                         )
                     w_g = working[g_id][1]
                     shadow = pre.minwt(working[g_id][0]).value
-                    self._timetable[g_slot] = ShadowEntry(shadow, self._event_index)
+                    self._timetable[g_slot] = ShadowEntry(shadow)
                     self._require_frac(w_g <= w_a, case, "window target outweighs group head")
                     self._require_frac(
                         f_val <= rec.rho_old_weight.value,
@@ -1065,7 +1081,7 @@ class Verifier:
                         )
                     slot_a = claimed_now[h_ids[a]]
                     if any(bumped[m] for m in range(a + 1, b + 2)):
-                        self._timetable[slot_a] = ShadowEntry(floors[a], self._event_index)
+                        self._timetable[slot_a] = ShadowEntry(floors[a])
                         f_id, f_val = self._restore_backup(
                             pre,
                             working_plan(),
@@ -1153,7 +1169,7 @@ class Verifier:
         self._gain_current += w_p
         if anchors is not None:
             detail_bits.append(f"anchors={list(anchors)}")
-        report = self._report(
+        return self._report(
             time=t,
             kind=event.kind,
             case=case,
@@ -1163,11 +1179,8 @@ class Verifier:
             dpsi_adv=adv.dpsi,
             dpsi_initseg=dpsi_initseg,
             dpsi_window=dpsi_window,
-            advgain_window=advgain_window,
             margin=margin,
         )
-        self._post_event_checks()
-        return report
 
     # ------------------------------------------------------------------
 
@@ -1175,6 +1188,13 @@ class Verifier:
         if self._finalized:
             raise VerifierError("verifier already finalized")
         self._finalized = True
+        if self._next_packet() is not None or self._state.t <= self.instance.horizon:
+            self._fail(
+                TraceMismatch,
+                f"trace ends at t={self._state.t} with "
+                f"{len(self.instance.packets) - self._arrived} arrivals left; "
+                f"it must run past the horizon {self.instance.horizon}",
+            )
         if self._timetable:
             self._fail(
                 InvariantViolation,
@@ -1229,16 +1249,6 @@ class Verifier:
             scale=self._scale,
         )
 
-    @property
-    def potential(self) -> GoldenNumber:
-        """The running potential."""
-        return self._scale.golden(self._potential)
-
-    @property
-    def gain0(self) -> Fraction:
-        """The original weight transmitted so far."""
-        return self._scale.rational(self._gain0)
-
 
 def _plan_view(state: PlanState) -> dict[int, int]:
     """The plan of state as {packet id: deadline}."""
@@ -1257,63 +1267,23 @@ def verify_trace(
     if trace.algorithm != "planm":
         raise TraceMismatch(f"cannot audit algorithm {trace.algorithm!r}")
     verifier = Verifier(instance, comparison)
-    scale = instance.scale
-    trace_denominator = trace.scale.denominator
-    if trace_denominator != scale.denominator:
+    if trace.scale.denominator != instance.scale.denominator:
         raise TraceMismatch(
-            f"trace weights have common denominator {trace_denominator}, "
-            f"the instance's have {scale.denominator}"
+            f"trace weights have common denominator {trace.scale.denominator}, "
+            f"the instance's have {instance.scale.denominator}"
         )
-    events = list(trace.events)
-    cursor = 0
-
-    def next_event(expected: str):
-        nonlocal cursor
-        if cursor >= len(events):
-            raise TraceMismatch(f"trace truncated; expected {expected}")
-        ev = events[cursor]
-        cursor += 1
-        return ev
-
-    arrivals = list(instance.packets)
-    i = 0
-    for t in range(0, instance.horizon + 1):
-        while i < len(arrivals) and arrivals[i].release == t:
-            packet = arrivals[i]
-            ev = next_event(f"arrival of {packet.id} at t={t}")
-            if not isinstance(ev, ArrivalEvent) or ev.t != t or ev.packet != packet:
-                raise TraceMismatch(
-                    f"expected arrival of {packet.id} at t={t}, "
-                    f"trace has {format_event(ev, scale)}"
-                )
-            verifier.on_arrival(packet)
-            i += 1
-        ev = next_event(f"scheduling event at t={t}")
-        if not isinstance(ev, ScheduleEvent) or ev.t != t:
-            raise TraceMismatch(
-                f"expected a scheduling event at t={t}, trace has {format_event(ev, scale)}"
-            )
-        if ev.kind == "idle":
-            verifier.on_idle(t)
+    for ev in trace.events:
+        if isinstance(ev, ArrivalEvent):
+            verifier.on_arrival(ev)
+        elif ev.kind == "idle":
+            verifier.on_idle(ev)
         elif ev.kind == "ordinary":
-            if ev.p_id is None:
-                raise TraceMismatch(f"ordinary event without a packet at t={t}")
-            verifier.on_ordinary_step(t, ev.p_id)
-        elif ev.kind in ("simple-leap", "iterated-leap"):
-            if ev.leap is None:
-                raise TraceMismatch(f"leap event without a record at t={t}")
-            verifier.on_leap_step(t, ev.leap)
+            verifier.on_ordinary_step(ev)
         else:
-            raise TraceMismatch(f"cannot audit event kind {ev.kind!r}")
-        mirror = verifier.mirror_event
-        if mirror != ev:
-            raise TraceMismatch(
-                f"trace event at t={t} diverges from the mirror: "
-                f"{format_event(ev, scale)} != {format_event(mirror, scale)}"
-            )
-    if cursor != len(events):
-        raise TraceMismatch(f"{len(events) - cursor} trailing events in the trace")
-    gain0 = verifier.gain0
-    if trace.gain0 != gain0:
-        raise TraceMismatch(f"recorded gain {trace.gain0} != accumulated {gain0}")
-    return verifier.finalize()
+            verifier.on_leap_step(ev)
+    result = verifier.finalize()
+    if trace.gain0 != result.summary.gain0:
+        raise TraceMismatch(
+            f"recorded gain {trace.gain0} != accumulated {result.summary.gain0}"
+        )
+    return result

@@ -1,11 +1,34 @@
 """Shared fixtures: the two hand-worked instances and the segment-structure
-pending set used across plan, scheduler, and verifier tests."""
+pending set used across plan, scheduler, and verifier tests, plus a
+helper that runs the command line in a child process."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import planpack
 from planpack.model import Instance, Packet, validate
+
+CLI_TIMEOUT_S = 60
+
+
+def run_cli(*args: str) -> subprocess.CompletedProcess:
+    """Run `python -m planpack.cli ARGS` in a child process.
+
+    The timeout makes a command that has fallen back to per-slot work
+    on a far horizon fail the test instead of hanging the suite.
+    """
+    src = str(Path(planpack.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run(
+        [sys.executable, "-m", "planpack.cli", *args],
+        capture_output=True, text=True, env=env, timeout=CLI_TIMEOUT_S, check=False,
+    )
 
 
 def mk(pid: int, r: int, d: int, w) -> Packet:

@@ -10,7 +10,7 @@ from click.testing import CliRunner
 from planpack.cli import main
 from planpack.model import load_instance, save_instance
 from planpack.offline import optimal_schedule, parse_schedule
-from conftest import FAR
+from conftest import FAR, run_cli
 
 
 @pytest.fixture
@@ -89,6 +89,15 @@ class TestSimulate:
              "--check-monotonicity"],
         )
         assert trip.exit_code == 1
+
+    @pytest.mark.parametrize("flags", [[], ["--check-monotonicity"]])
+    def test_far_releases(self, far, tmp_path, flags):
+        """A gap of 10**9 idle slots costs one event, not 10**9."""
+        path = tmp_path / "far.jsonl"
+        save_instance(far, str(path))
+        proc = run_cli("simulate", "--instance", str(path), *flags)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "gain0 = 11\n"
 
 
 class TestOpt:

@@ -1,6 +1,6 @@
 """Byte-exact pipeline outputs on instances with fractional weights, on
-small instances that reach the verifier's rarer branches, and on a long,
-nearly idle horizon.
+small instances that reach the verifier's rarer branches, on a long,
+nearly idle horizon, and on a gap of 10^5 idle slots.
 
 Each fractional instance is an s-bounded generator instance (span 8, 150 steps)
 whose weights are divided by 6, 35 or 11 according to the packet id,
@@ -22,6 +22,7 @@ from click.testing import CliRunner
 from planpack.cli import main
 from planpack.generators import GeneratorConfig, generate
 from planpack.model import Packet, save_instance, validate
+from planpack.offline import Schedule, format_schedule
 from planpack.trace_io import load_trace
 
 DENOMINATORS = (6, 35, 11)
@@ -187,3 +188,55 @@ def test_long_horizon_outputs_match_pins(tmp_path):
         result = runner.invoke(main, args)
         assert result.exit_code == 0, result.output
     assert tuple(_sha(path.read_bytes()) for path in files) == LONG_HORIZON_PINS
+
+
+GAP = 10**5
+
+# sha256 of (planm trace, schedule, ledger against the optimum, ledger
+# against a comparison that sends packet 2 in the middle of the gap)
+GAP_PINS = (
+    "a2784ef184c730a6ada636b6b5569b10dd853e45eff61be7573263f7f0999f94",
+    "b33530682841fc85f6b558d9c74f4b86bb94a4766ff391118c05845ba7177a0b",
+    "1f152481f621469a8657e03aff83acb007a526cb4e7836fb41659a3c68e2abd0",
+    "baf0c1e6ac11c85f8c567807093ae8ee1f0ed95a452bc6456bc996dd0c15a06c",
+)
+
+
+def test_long_gap_outputs_match_pins(tmp_path):
+    """Three packets, then nothing pending for 10^5 slots, then two more.
+    The run and the audit hold the gap as one idle stretch; the files
+    keep one line or row per slot, byte for byte."""
+    inst = tmp_path / "instance.jsonl"
+    save_instance(validate([
+        Packet(1, 0, 0, Fraction(5)),
+        Packet(2, 0, GAP, Fraction(3)),
+        Packet(3, 1, 1, Fraction(2)),
+        Packet(4, GAP + 3, GAP + 5, Fraction(4)),
+        Packet(5, GAP + 3, GAP + 3, Fraction(1)),
+    ]), str(inst))
+    middle = tmp_path / "middle.sched"
+    middle.write_text(format_schedule(Schedule(
+        assignment={0: 1, 1: 3, GAP // 2: 2, GAP + 3: 5, GAP + 4: 4}, weight0=Fraction(15),
+    )))
+    files = [tmp_path / name for name in ("planm.trace", "opt.sched", "opt.csv", "middle.csv")]
+    commands = [
+        ["simulate", "--instance", str(inst), "--trace", str(files[0])],
+        ["opt", "--instance", str(inst), "--out", str(files[1])],
+        ["verify", "--instance", str(inst), "--trace", str(files[0]),
+         "--comparison", str(files[1]), "--out", str(files[2])],
+        ["verify", "--instance", str(inst), "--trace", str(files[0]),
+         "--comparison", str(middle), "--out", str(files[3])],
+    ]
+    runner = CliRunner()
+    for args in commands:
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+    assert result.output.startswith(f"ok: {GAP + 11} events")
+    assert tuple(_sha(path.read_bytes()) for path in files) == GAP_PINS
+    trace = load_trace(str(files[0]))
+    idle = [ev for ev in trace.events if getattr(ev, "kind", None) == "idle"]
+    assert [(ev.t, ev.slots) for ev in idle] == [(3, GAP), (GAP + 5, 1)]
+    with open(files[3], newline="") as fh:
+        rows = [row for row in csv.DictReader(fh) if row["kind"] == "idle"]
+    assert len(rows) == GAP + 1
+    assert [row["time"] for row in rows if row["case"] == "ADV.2"] == [str(GAP // 2)]

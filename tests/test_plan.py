@@ -331,8 +331,19 @@ def test_plan_packet_at_current_slot_never_expires():
     assert state.plan_ids() == {1}
     state.apply_schedule_initseg(1)
     assert state.packets == {}                     # loser expired with its slot
-    state.advance_idle()
+    state.advance_idle(1)
     assert state.t == 2
+
+
+def test_idle_stretch_advances_in_one_step():
+    state = PlanState(0, 10)
+    state.advance_idle(7)
+    assert state.t == 7
+    assert state.tight_slots() == [6, 10]
+    for slots in (0, -1):
+        with pytest.raises(PlanError):
+            state.advance_idle(slots)
+    assert state.t == 7
 
 
 def test_errors():
@@ -352,7 +363,7 @@ def test_errors():
     with pytest.raises(PlanError):
         state.apply_arrival(9, 0, state.sentinel, TaggedWeight(Fraction(1), -9))
     with pytest.raises(PlanError):
-        state.advance_idle()
+        state.advance_idle(1)
 
 
 def test_overfull_plan_names_the_slot(fig1):
@@ -369,7 +380,7 @@ def test_empty_state():
     assert state.tight_slots() == [-1, 5]
     assert state.minwt(3) == ZERO_WEIGHT
     assert state.pslack(5) == 6
-    state.advance_idle()
+    state.advance_idle(1)
     assert state.t == 1
 
 

@@ -7,7 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from planpack.golden import PHI, TaggedWeight, TiebreakSource, golden
+from planpack import schedulers
+from planpack.golden import PHI, TaggedWeight, TiebreakSource, format_tagged, golden
 from planpack.generators import GeneratorConfig, generate
 from planpack.model import Packet, validate
 from planpack.offline import optimal_schedule
@@ -155,6 +156,74 @@ def test_leap_with_virtual_substitute_is_simple():
 def test_greedy_trips_monotonicity_monitor(w1):
     with pytest.raises(MonotonicityError):
         run("greedy", w1, check_monotonicity=True)
+
+
+class PerSlotMonitor:
+    """The monitor's reference: minwt kept per absolute slot, every slot
+    from t through the sentinel compared after each event."""
+
+    def __init__(self, scale):
+        self.scale = scale
+        self.seen = {}
+
+    def observe(self, state, context):
+        for tau in range(state.t, state.sentinel + 1):
+            now = state.minwt(tau)
+            before = self.seen.get(tau)
+            if before is not None and now < before:
+                raise MonotonicityError(
+                    f"minwt({tau}) fell from {format_tagged(before, self.scale)} "
+                    f"to {format_tagged(now, self.scale)} {context}"
+                )
+            self.seen[tau] = now
+
+
+@pytest.mark.parametrize("algorithm", ["planm", "greedy"])
+def test_segment_monitor_matches_per_slot_reference(algorithm, monkeypatch):
+    """Both monitors watch the same runs and must raise the same error at
+    the same event, or none."""
+    outcomes = []
+    segment_monitor = schedulers._MonotonicityMonitor
+
+    class Paired:
+        def __init__(self, scale):
+            self.monitors = (segment_monitor(scale), PerSlotMonitor(scale))
+
+        def observe(self, state, context):
+            errors = []
+            for monitor in self.monitors:
+                try:
+                    monitor.observe(state, context)
+                    errors.append(None)
+                except MonotonicityError as exc:
+                    errors.append(str(exc))
+            assert errors[0] == errors[1], context
+            outcomes.append(errors[0])
+            if errors[0] is not None:
+                raise MonotonicityError(errors[0])
+
+    monkeypatch.setattr(schedulers, "_MonotonicityMonitor", Paired)
+    rng = random.Random(271828)
+    for _ in range(150):
+        packets = []
+        for pid in range(1, rng.randint(2, 14)):
+            r = rng.randint(0, 12)
+            packets.append(Packet(pid, r, r + rng.randint(0, 5), Fraction(rng.randint(1, 9))))
+        try:
+            run(algorithm, validate(packets), check_monotonicity=True)
+        except MonotonicityError:
+            pass
+    trips = sum(error is not None for error in outcomes)
+    assert len(outcomes) > 1000
+    assert trips == 0 if algorithm == "planm" else trips > 10
+
+
+def test_idle_stretch_is_one_event():
+    inst = validate([Packet(1, 0, 0, Fraction(2)), Packet(2, 50, 53, Fraction(3))])
+    result, trace = run("planm", inst, check_monotonicity=True)
+    assert result.transmitted == ((0, 1), (50, 2))
+    stretches = [ev for ev in trace.events if isinstance(ev, ScheduleEvent) and ev.p_id is None]
+    assert [(ev.t, ev.kind, ev.slots) for ev in stretches] == [(1, "idle", 49), (51, "idle", 3)]
 
 
 def test_planm_monotone_on_worked_examples(w1, w2, fig1):

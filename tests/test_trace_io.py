@@ -43,6 +43,31 @@ def test_idle_line():
     assert parse_trace(text) == trace
 
 
+def test_idle_stretch_is_one_line_per_slot():
+    inst = validate([Packet(1, 0, 0, Fraction(2)), Packet(2, 5, 5, Fraction(3))])
+    _, trace = run("planm", inst)
+    assert [(ev.t, ev.slots) for ev in trace.events if getattr(ev, "kind", "") == "idle"] == [
+        (1, 4),
+    ]
+    text = format_trace(trace)
+    idle_lines = [line for line in text.splitlines() if ",idle," in line]
+    assert idle_lines == [f"S,{t},-,idle,-,-" for t in range(1, 5)]
+    assert parse_trace(text) == trace
+
+
+def test_parse_folds_only_contiguous_plain_idle_lines():
+    def stretches(*lines):
+        trace = parse_trace("\n".join(["H,1,planm", *lines, "G,0/1"]))
+        return [(ev.t, ev.p_id, ev.slots) for ev in trace.events]
+
+    assert stretches("S,3,-,idle,-,-", "S,4,-,idle,-,{}", "S,5,-,idle,-,-") == [(3, None, 3)]
+    assert stretches("S,3,-,idle,-,-", "S,5,-,idle,-,-") == [(3, None, 1), (5, None, 1)]
+    assert stretches("S,3,-,idle,-,-", "S,3,-,idle,-,-") == [(3, None, 1), (3, None, 1)]
+    assert stretches("S,3,-,idle,-,-", "S,4,7,idle,-,-", "S,5,-,idle,-,-") == [
+        (3, None, 1), (4, 7, 1), (5, None, 1),
+    ]
+
+
 @pytest.mark.parametrize("algorithm", ["planm", "greedy"])
 @pytest.mark.parametrize("kind", ["uniform-random", "s-bounded", "agreeable"])
 def test_round_trip_generated_runs(algorithm, kind):

@@ -16,7 +16,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
-from conftest import mk
+from conftest import FAR, mk
 from planpack.golden import PHI, ZERO, TaggedWeight, golden
 from planpack.model import Packet, validate
 from planpack.offline import Schedule, optimal_schedule
@@ -160,6 +160,121 @@ class TestLonePacket:
         assert result.reports == ()
         assert result.summary.advgain_total == 0
         assert result.summary.bound_margin == ZERO
+
+
+# idle stretches: one event in memory, one line per slot in the file
+
+
+def gap_run():
+    """Two packets, idle slots 2..9, two more packets, idle slots 12..15."""
+    inst = validate([mk(1, 0, 0, 5), mk(2, 0, 1, 3), mk(3, 10, 15, 4), mk(4, 10, 10, 2)])
+    _, trace = run("planm", inst)
+    return inst, trace, optimal_schedule(inst)
+
+
+def with_events(trace, events):
+    return RunTrace(trace.algorithm, events, trace.gain0, trace.scale)
+
+
+def idle(t, slots):
+    return ScheduleEvent(t, None, "idle", None, {}, slots)
+
+
+class TestIdleStretches:
+    def test_stretches_are_single_events(self):
+        inst, trace, opt = gap_run()
+        assert [(ev.t, ev.slots) for ev in trace.events if getattr(ev, "kind", "") == "idle"] == [
+            (2, 8), (12, 4),
+        ]
+        result = verify_trace(inst, trace, opt)
+        assert [(r.time, r.slots, r.case) for r in result.reports if r.kind == "idle"] == [
+            (2, 8, "ADV.0"), (12, 4, "ADV.0"),
+        ]
+        assert result.summary.events == 4 + 16
+
+    def test_owed_slot_splits_the_stretch(self):
+        inst = validate([mk(1, 0, 5, 10)])
+        _, trace = run("planm", inst)
+        comparison = Schedule(assignment={4: 1}, weight0=Fraction(10))
+        result = verify_trace(inst, trace, comparison)
+        assert [(r.kind, r.time, r.slots, r.case) for r in result.reports] == [
+            ("arrival", 0, 1, "A.2.a"),
+            ("ordinary", 0, 1, "O.2"),
+            ("idle", 1, 3, "ADV.0"),
+            ("idle", 4, 1, "ADV.2"),
+            ("idle", 5, 1, "ADV.0"),
+        ]
+        assert [r.index for r in result.reports] == [0, 1, 2, 5, 6]
+        assert result.summary.events == 7
+
+    @pytest.mark.parametrize("check_monotonicity", [False, True])
+    def test_far_horizon_costs_per_packet(self, far, check_monotonicity):
+        _, trace = run("planm", far, check_monotonicity=check_monotonicity)
+        assert [(ev.t, ev.slots) for ev in trace.events if getattr(ev, "kind", "") == "idle"] == [
+            (1, FAR - 1),
+        ]
+        result = verify_trace(far, trace, optimal_schedule(far))
+        assert len(result.reports) == 10
+        assert result.summary.events == far.horizon + 1 + len(far.packets)
+        assert result.summary.advgain_total == 11
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda text: text.replace("S,5,-,idle,-,-\n", ""), "slots 2..4 != .* slots 2..9"),
+        (lambda text: text.replace("S,15,-,idle,-,-\n", ""), "slots 12..14 != .* slots 12..15"),
+        (lambda text: text.replace("G,", "S,16,-,idle,-,-\nG,"), "slots 12..16 != .* slots 12..15"),
+    ], ids=["line-dropped-mid-stretch", "last-line-dropped", "line-past-horizon"])
+    def test_edited_trace_files(self, edit, message):
+        inst, trace, opt = gap_run()
+        text = format_trace(trace)
+        mutant = edit(text)
+        assert mutant != text
+        with pytest.raises(TraceMismatch, match=message):
+            verify_trace(inst, parse_trace(mutant), opt)
+
+    @pytest.mark.parametrize("stretch, message", [
+        ([idle(2, 9)], "slots 2..10 != .* slots 2..9"),
+        ([idle(2, 7)], "slots 2..8 != .* slots 2..9"),
+        ([idle(2, 3), idle(5, 5)], "slots 2..4 != .* slots 2..9"),
+    ], ids=["one-slot-long", "one-slot-short", "split"])
+    def test_edited_stretches(self, stretch, message):
+        inst, trace, opt = gap_run()
+        events = list(trace.events)
+        assert events[4] == idle(2, 8)
+        with pytest.raises(TraceMismatch, match=message):
+            verify_trace(inst, with_events(trace, events[:4] + stretch + events[5:]), opt)
+
+
+class TestEventOrder:
+    """The verifier takes the order of events from its own state: each
+    arrival when it is due, a scheduling event only after them, up to the
+    horizon, and nothing left over at the end."""
+
+    def test_step_before_an_arrival_at_its_slot(self):
+        inst, trace, opt = gap_run()
+        events = list(trace.events)
+        assert [type(ev).__name__ for ev in events[5:8]] == ["ArrivalEvent"] * 2 + ["ScheduleEvent"]
+        swapped = events[:6] + [events[7], events[6]] + events[8:]
+        with pytest.raises(TraceMismatch, match="no scheduling event is due at t=10"):
+            verify_trace(inst, with_events(trace, swapped), opt)
+
+    def test_idle_past_the_horizon(self, w2):
+        _, trace = run("planm", w2)
+        padded = with_events(trace, trace.events + [idle(w2.horizon + 1, 1)])
+        with pytest.raises(TraceMismatch, match="no scheduling event is due at t=2"):
+            verify_trace(w2, padded, optimal_schedule(w2))
+
+    def test_arrival_after_the_last(self):
+        inst, trace, opt = gap_run()
+        extra = ArrivalEvent(16, mk(9, 16, 16, 1))
+        with pytest.raises(TraceMismatch, match="no arrival is due at t=16"):
+            verify_trace(inst, with_events(trace, trace.events + [extra]), opt)
+
+    def test_trace_stopping_short(self):
+        inst, trace, opt = gap_run()
+        with pytest.raises(TraceMismatch, match="trace ends at t=12 with 0 arrivals left"):
+            verify_trace(inst, with_events(trace, trace.events[:-1]), opt)
+        with pytest.raises(TraceMismatch, match="trace ends at t=2 with 2 arrivals left"):
+            verify_trace(inst, with_events(trace, trace.events[:4]), opt)
 
 
 # frozen rare cases from randomized search
@@ -373,16 +488,16 @@ class TestRejection:
         verifier = Verifier(w2, optimal_schedule(w2))
         for ev in trace.events:
             if isinstance(ev, ArrivalEvent):
-                verifier.on_arrival(ev.packet)
+                verifier.on_arrival(ev)
             elif ev.kind == "ordinary":
-                verifier.on_ordinary_step(ev.t, ev.p_id)
+                verifier.on_ordinary_step(ev)
             else:
-                verifier.on_leap_step(ev.t, ev.leap)
+                verifier.on_leap_step(ev)
         verifier.finalize()
         with pytest.raises(VerifierError):
             verifier.finalize()
         with pytest.raises(VerifierError):
-            verifier.on_idle(2)
+            verifier.on_idle(ScheduleEvent(2, None, "idle", None, {}))
 
     def test_trace_weights_over_another_denominator(self):
         inst = validate([mk(1, 0, 0, Fraction(1, 3)), mk(2, 0, 1, 2)])
@@ -397,7 +512,7 @@ class TestRejection:
     def test_overfull_backup_pool(self, w2):
         verifier = Verifier(w2, Schedule(assignment={}, weight0=Fraction(0)))
         for packet in w2.packets:
-            verifier.on_arrival(packet)
+            verifier.on_arrival(ArrivalEvent(packet.release, packet))
         assert 3 not in verifier._state.plan_ids()
         verifier._furloughed.add(3)
         with pytest.raises(InvariantViolation, match="overfills slot 1 by 1"):
@@ -406,12 +521,12 @@ class TestRejection:
     def test_arrival_at_wrong_time(self, w2):
         verifier = Verifier(w2, optimal_schedule(w2))
         with pytest.raises(TraceMismatch):
-            verifier.on_arrival(mk(1, 1, 1, 5))
+            verifier.on_arrival(ArrivalEvent(1, mk(1, 1, 1, 5)))
 
     def test_unknown_packet_arrival(self, w2):
         verifier = Verifier(w2, optimal_schedule(w2))
         with pytest.raises(TraceMismatch):
-            verifier.on_arrival(mk(9, 0, 1, 5))
+            verifier.on_arrival(ArrivalEvent(0, mk(9, 0, 1, 5)))
 
 
 def mutate_trace(trace, inst, rng: random.Random):
@@ -523,6 +638,6 @@ def test_reports_expose_exact_arithmetic(w2):
 
 def test_timetable_entry_types_are_distinct():
     real = RealEntry(3)
-    shadow = ShadowEntry(Fraction(5), 0)
+    shadow = ShadowEntry(Fraction(5))
     assert real != shadow
     assert shadow.weight == 5
