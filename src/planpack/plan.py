@@ -8,9 +8,12 @@ tie-broken total order on weights.  This module keeps that subset and
 its derived structure current across the three events that can change
 it (a packet arrives; a packet from the first segment is transmitted; a
 packet from a later segment is transmitted) by applying the constant
-size membership delta each event induces and then rebuilding the slack
-profile, which is just the plan's sorted deadlines: it costs nothing per
-empty slot, however long the horizon.
+size membership delta each event induces.  The delta is edited into the
+index of non-plan packets in place; only an event that changes a plan
+member or the time then rebuilds the plan side: the slack profile,
+which is just the plan's sorted deadlines, and per-segment extremes
+read off the same order.  Neither costs anything per empty slot,
+however long the horizon.
 
 Conceptually the pending set is padded with zero-weight packets, one
 per slot, up to a horizon sentinel one past the largest deadline.  The
@@ -37,6 +40,8 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import attrgetter
 from typing import Iterable
 
 from .golden import TaggedWeight, TiebreakSource
@@ -60,6 +65,9 @@ __all__ = [
 # rank a TiebreakSource can hand out, so any materialized or input
 # packet outweighs it.
 ZERO_WEIGHT = TaggedWeight(0, -(10**18))
+
+_deadline = attrgetter("deadline")
+_weight = attrgetter("weight")
 
 
 class PlanError(ValueError):
@@ -207,8 +215,23 @@ class PlanState:
     """Pending packets plus the plan structure at one instant.
 
     Membership changes only through apply_arrival, the two
-    apply_schedule variants, and advance_idle.  Weight or deadline
-    adjustments made between events must be followed by refresh().
+    apply_schedule variants, and advance_idle.  The structure has two
+    sides, and each event updates only what it invalidates:
+
+    * the non-plan index, the packets outside the plan by decreasing
+      weight with the running maximum of their deadlines, is edited in
+      place: a rejected arrival or an eviction inserts one packet, a
+      leap inserts ell and drops rho, and a transmission drops the
+      non-plan packets whose deadline has passed.  Non-plan weights and
+      deadlines never change, so the index never needs a sort;
+    * the plan side (slack profile, tight slots, the lightest and
+      heaviest member of each segment, minwt per segment) is rebuilt
+      by refresh() after every event that changes a member or t.  A
+      rejected arrival does not call it.
+
+    Weight or deadline adjustments of plan members made between events
+    must be followed by refresh().  clone() and the constructor build
+    both sides from scratch.
     """
 
     def __init__(self, t: int, sentinel: int, source: TiebreakSource | None = None):
@@ -218,21 +241,19 @@ class PlanState:
         self.sentinel = sentinel
         self.source = source if source is not None else TiebreakSource()
         self.packets: dict[int, PendingPacket] = {}
+        self._index_nonplan()
         self.refresh()
 
     # structure rebuild
 
     def refresh(self) -> None:
+        """Rebuild the plan side from the members' current deadlines and weights."""
         t, H = self.t, self.sentinel
-        members = []
-        nonplan = []
-        for p in self.packets.values():
-            if p.in_plan:
-                if not t <= p.deadline < H:
-                    raise PlanError(f"plan packet {p.id} deadline {p.deadline} out of [{t}, {H})")
-                members.append(p)
-            else:
-                nonplan.append(p)
+        members = [p for p in self.packets.values() if p.in_plan]
+        members.sort(key=_deadline)
+        if members and not (t <= members[0].deadline and members[-1].deadline < H):
+            p = next(p for p in self.packets.values() if p.in_plan and not t <= p.deadline < H)
+            raise PlanError(f"plan packet {p.id} deadline {p.deadline} out of [{t}, {H})")
 
         profile = SlackProfile([p.deadline for p in members], t, H)
         slack, slot = profile.floor
@@ -241,14 +262,20 @@ class PlanState:
         self._profile = profile
         self.tights = tights = profile.tights
 
+        # one walk in deadline order meets the segments in order
         nseg = len(tights) - 1
         seg_min: list[PendingPacket | None] = [None] * (nseg + 1)
         seg_max: list[PendingPacket | None] = [None] * (nseg + 1)
+        i = 1
         for p in members:
-            i = bisect_left(tights, p.deadline, 1)
-            if seg_min[i] is None or p.weight < seg_min[i].weight:
+            while p.deadline > tights[i]:
+                i += 1
+            low = seg_min[i]
+            if low is None:
+                seg_min[i] = seg_max[i] = p
+            elif p.weight < low.weight:
                 seg_min[i] = p
-            if seg_max[i] is None or p.weight > seg_max[i].weight:
+            elif p.weight > seg_max[i].weight:
                 seg_max[i] = p
         self._seg_member_min = seg_min
         self._seg_member_max = seg_max
@@ -264,14 +291,30 @@ class PlanState:
             prefix[i] = running
         self._seg_prefix_min = prefix
 
-        nonplan.sort(key=lambda p: p.weight, reverse=True)
+    def _index_nonplan(self) -> None:
+        """Build the non-plan index from scratch."""
+        nonplan = [p for p in self.packets.values() if not p.in_plan]
+        nonplan.sort(key=_weight, reverse=True)
         self._nonplan = nonplan
-        maxd = []
-        top = -1
-        for p in nonplan:
-            top = max(top, p.deadline)
-            maxd.append(top)
-        self._nonplan_maxd = maxd
+        self._nonplan_maxd = list(accumulate((p.deadline for p in nonplan), max))
+
+    def _nonplan_insert(self, p: PendingPacket) -> None:
+        """Insert p, which has just left the plan or been refused by it."""
+        nonplan, maxd = self._nonplan, self._nonplan_maxd
+        w = p.weight
+        i, hi = 0, len(nonplan)
+        while i < hi:
+            mid = (i + hi) // 2
+            if nonplan[mid].weight > w:
+                i = mid + 1
+            else:
+                hi = mid
+        nonplan.insert(i, p)
+        d = p.deadline
+        maxd.insert(i, max(maxd[i - 1], d) if i else d)
+        # the running maxima after i rise to d where they were below it
+        j = bisect_left(maxd, d, i + 1)
+        maxd[i + 1:j] = [d] * (j - i - 1)
 
     # slot queries
 
@@ -393,21 +436,22 @@ class PlanState:
             outcome = ArrivalOutcome(True, None)
         elif weight > threshold.weight:
             threshold.in_plan = False
+            self._nonplan_insert(threshold)
             p.in_plan = True
             outcome = ArrivalOutcome(True, threshold.id)
         else:
-            outcome = ArrivalOutcome(False, None)
+            self._nonplan_insert(p)
+            return ArrivalOutcome(False, None)
         self.refresh()
         return outcome
 
-    def apply_schedule_initseg(self, pid: int, refresh: bool = True) -> None:
+    def apply_schedule_initseg(self, pid: int) -> None:
         p = self.packets[pid]
         if not p.in_plan or self._segment_of(p.deadline) != 1:
             raise NotInInitSegError(f"packet {pid} is not a first-segment plan packet")
         del self.packets[pid]
         self._advance_time()
-        if refresh:
-            self.refresh()
+        self.refresh()
 
     def apply_schedule_later(
         self, pid: int, sub: SubstituteResult | None = None, refresh: bool = True
@@ -425,6 +469,7 @@ class PlanState:
         gamma = self.nextts(sub.deadline)
         del self.packets[pid]
         ell.in_plan = False
+        self._nonplan_insert(ell)
         if sub.packet is None:
             vid = self.source.sub_zero()
             rho = PendingPacket(
@@ -434,28 +479,37 @@ class PlanState:
         else:
             rho = sub.packet
             rho.in_plan = True
-        self._advance_time()
+        self._advance_time(sub.packet)
         if refresh:
             self.refresh()
         return LeapInfo(pid, rho.id, ell.id, delta, gamma, sub.packet is None)
 
     def advance_idle(self, slots: int) -> None:
-        """Move past `slots` slots in which nothing is pending."""
+        """Move past `slots` slots in which nothing is pending, at most up
+        to the sentinel."""
         if self.packets:
             raise PlanError("idle step with packets still pending")
         if slots < 1:
             raise PlanError(f"idle stretch of {slots} slots")
+        if self.t + slots > self.sentinel:
+            raise PlanError(
+                f"idle stretch of {slots} slots from t={self.t} passes the sentinel {self.sentinel}"
+            )
         self.t += slots
         self.refresh()
 
-    def _advance_time(self) -> None:
-        self.t += 1
-        expired = [
-            pid for pid, p in self.packets.items()
-            if not p.in_plan and p.deadline < self.t
-        ]
-        for pid in expired:
-            del self.packets[pid]
+    def _advance_time(self, joined: PendingPacket | None = None) -> None:
+        """Move to the next slot: the non-plan packets whose deadline has
+        passed expire, and joined, a packet that has just entered the
+        plan, leaves the non-plan index."""
+        self.t = t = self.t + 1
+        nonplan = self._nonplan
+        expired = [p for p in nonplan if p.deadline < t]
+        for p in expired:
+            del self.packets[p.id]
+        if expired or joined is not None:
+            nonplan[:] = [p for p in nonplan if p.deadline >= t and p is not joined]
+            self._nonplan_maxd[:] = accumulate((p.deadline for p in nonplan), max)
 
     def clone(self) -> "PlanState":
         dup = PlanState.__new__(PlanState)
@@ -469,7 +523,32 @@ class PlanState:
             )
             for pid, p in self.packets.items()
         }
+        dup._index_nonplan()
         dup.refresh()
+        return dup
+
+    def snapshot(self) -> "PlanState":
+        """A view of this state that stays valid across first-segment
+        transmissions.
+
+        It holds its own packet dict and non-plan index but shares the
+        packets themselves and the plan side, which refresh() replaces
+        rather than edits.  A first-segment transmission changes no
+        packet's weight, deadline or membership, so the view keeps
+        answering for the state before it; any other event may not.
+        """
+        dup = PlanState.__new__(PlanState)
+        dup.t = self.t
+        dup.sentinel = self.sentinel
+        dup.source = self.source.clone()
+        dup.packets = dict(self.packets)
+        dup._nonplan = list(self._nonplan)
+        dup._nonplan_maxd = list(self._nonplan_maxd)
+        dup._profile = self._profile
+        dup.tights = self.tights
+        dup._seg_member_min = self._seg_member_min
+        dup._seg_member_max = self._seg_member_max
+        dup._seg_prefix_min = self._seg_prefix_min
         return dup
 
 

@@ -236,7 +236,7 @@ def greedy_step(state: PlanState) -> tuple[PendingPacket, ScheduleEvent]:
     p = _heaviest_pending(state)
     assert p is not None, "greedy_step with nothing pending"
     assert p.in_plan, "heaviest pending packet must be a plan member"
-    if p.id in state.initseg_ids():
+    if p.deadline <= state.tights[1]:
         state.apply_schedule_initseg(p.id)
     else:
         state.apply_schedule_later(p.id)

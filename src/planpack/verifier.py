@@ -698,14 +698,18 @@ class Verifier:
         self, event: ScheduleEvent, kinds: tuple[str, ...]
     ) -> tuple[PlanState, PendingPacket, ScheduleEvent]:
         """Replay a transmission of one of kinds on the mirror; returns the
-        state before it, the packet sent and the mirror's (= recorded) event."""
+        state before it, the packet sent and the mirror's (= recorded) event.
+
+        An ordinary step keeps the state before it as a snapshot, which a
+        first-segment transmission leaves intact; a leap edits weights and
+        deadlines in place, so its state before is a full clone."""
         self._begin_turn(event)
         state = self._state
         if event.kind not in kinds:
             self._fail(TraceMismatch, f"{self._describe(event)} is not {' or '.join(kinds)}")
         if not state.packets:
             self._fail(TraceMismatch, f"trace has {self._describe(event)} at an idle slot")
-        pre = state.clone()
+        pre = state.snapshot() if event.kind == "ordinary" else state.clone()
         scheduled, mirror = planm_step(state)
         self._compare(event, mirror)
         return pre, scheduled, mirror

@@ -1,10 +1,12 @@
 """Shared fixtures: the two hand-worked instances and the segment-structure
-pending set used across plan, scheduler, and verifier tests, plus a
-helper that runs the command line in a child process."""
+pending set used across plan, scheduler, and verifier tests, a counter
+of plan-engine refreshes, clones and snapshots, plus a helper that runs
+the command line in a child process."""
 
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,6 +14,7 @@ import pytest
 
 import planpack
 from planpack.model import Instance, Packet, validate
+from planpack.plan import PlanState
 
 CLI_TIMEOUT_S = 60
 
@@ -29,6 +32,24 @@ def run_cli(*args: str) -> subprocess.CompletedProcess:
         [sys.executable, "-m", "planpack.cli", *args],
         capture_output=True, text=True, env=env, timeout=CLI_TIMEOUT_S, check=False,
     )
+
+
+@pytest.fixture
+def plan_calls(monkeypatch) -> Counter:
+    """Counts calls of PlanState.refresh, clone and snapshot, by name."""
+    calls: Counter = Counter()
+
+    def counted(name):
+        method = getattr(PlanState, name)
+
+        def wrapper(self, *args, **kwargs):
+            calls[name] += 1
+            return method(self, *args, **kwargs)
+        return wrapper
+
+    for name in ("refresh", "clone", "snapshot"):
+        monkeypatch.setattr(PlanState, name, counted(name))
+    return calls
 
 
 def mk(pid: int, r: int, d: int, w) -> Packet:

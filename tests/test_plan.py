@@ -4,16 +4,20 @@ Two independent routes check the incremental engine: compute_plan (a
 from-scratch greedy over the same weight order) and, for small pending
 sets, an exhaustive search for the feasible subset whose sorted weight
 vector is lexicographically largest.  Slot queries are checked against
-direct recomputations from the definitions.
+direct recomputations from the definitions, and against a clone, which
+rebuilds every structure the events update in place.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from planpack.golden import TaggedWeight, TiebreakSource
 from planpack.model import tagged_weight_map
+from planpack.schedulers import planm_step
 from planpack.plan import (
     ZERO_WEIGHT,
     InInitSegError,
@@ -161,6 +165,22 @@ def test_w1_arrival_outcomes(w1):
     assert [(o.admitted, o.evicted_id) for o in outcomes] == [
         (True, None), (True, None), (False, None), (True, None),
     ]
+
+
+def test_rejected_arrival_makes_no_refresh(w1, plan_calls):
+    """A rejected arrival leaves every plan member where it was, so it
+    only enters the non-plan index."""
+    src = TiebreakSource()
+    weights = tagged_weight_map(w1, src)
+    state = PlanState(0, w1.sentinel, src)
+    work = []
+    for p in w1.packets:
+        plan_calls.clear()
+        out = state.apply_arrival(p.id, p.release, p.deadline, weights[p.id])
+        work.append((out.admitted, plan_calls["refresh"]))
+    assert work == [(True, 1), (True, 1), (False, 0), (True, 1)]
+    assert [q.id for q in state._nonplan] == [3]
+    check_against_oracles(state)
 
 
 def test_w1_heavier_arrival_evicts_threshold_packet(w1):
@@ -331,8 +351,9 @@ def test_plan_packet_at_current_slot_never_expires():
     assert state.plan_ids() == {1}
     state.apply_schedule_initseg(1)
     assert state.packets == {}                     # loser expired with its slot
-    state.advance_idle(1)
-    assert state.t == 2
+    with pytest.raises(PlanError, match="passes the sentinel 1"):
+        state.advance_idle(1)
+    assert state.t == 1
 
 
 def test_idle_stretch_advances_in_one_step():
@@ -432,3 +453,121 @@ def test_random_event_sequences_match_oracles(seed):
             else:
                 state.apply_schedule_later(pid)
         check_against_oracles(state)
+
+
+# incremental updates against a from-scratch rebuild
+
+
+def answers(state: PlanState) -> dict:
+    """Every public query at every slot, plus the non-plan index, with
+    packets named by id so that a clone's answers compare equal."""
+    def sub(r):
+        return (None if r.packet is None else r.packet.id, r.deadline, r.weight)
+
+    t, H = state.t, state.sentinel
+    tights = state.tight_slots()
+    light = state.lightest_initseg()
+    return {
+        "t": t,
+        "tights": tights,
+        "pslack": [state.pslack(tau) for tau in range(t - 1, H + 1)],
+        "minwt": [state.minwt(tau) for tau in range(t, H + 1)],
+        "nextts": [state.nextts(tau) for tau in range(t, H + 1)],
+        "prevts": [state.prevts(tau) for tau in range(t, H + 1)],
+        "lightest": None if light is None else light.id,
+        "substitute": {pid: sub(state.substitute(pid)) for pid in sorted(state.plan_ids())},
+        "entries": [(i, top.id, sub(s)) for i, top, s in state.segment_entries()],
+        "heaviest": {
+            (lo, hi): getattr(state.heaviest_in_window(lo, hi), "id", None)
+            for lo in tights for hi in tights if lo < hi
+        },
+        "nonplan": [p.id for p in state._nonplan],
+        "nonplan_maxd": list(state._nonplan_maxd),
+    }
+
+
+def replay(ops, sentinel: int = 24) -> Counter:
+    """Apply ops to a fresh state, checking after every event that the
+    incrementally kept structure answers as a clone does, and that a
+    snapshot taken before a first-segment transmission still answers
+    for the state before it.  Returns how often each kind of event
+    occurred.
+
+    Each op is (kind, a, b): an arrival with deadline t + a and base
+    value b % 4 (so zero weights and equal base values are common), or
+    a transmission of the a-th first-segment or later-segment member, or
+    a planm_step.  An op that does not apply is skipped.
+    """
+    src = TiebreakSource()
+    state = PlanState(0, sentinel, src)
+    seen: Counter = Counter()
+    for pid, (kind, a, b) in enumerate(ops, start=1):
+        if state.t >= sentinel - 1:
+            break
+        before = state.clone()
+        snap = state.snapshot()
+        members = sorted(state.plan_members(), key=lambda p: (p.deadline, p.id))
+        first = [p for p in members if p.deadline <= state.tights[1]]
+        later = [p for p in members if p.deadline > state.tights[1]]
+        pending = set(state.packets)
+        sent = None
+        if kind == "arrive":
+            d = min(state.t + a, sentinel - 1)
+            out = state.apply_arrival(pid, state.t, d, TaggedWeight(b % 4, src.sub_zero()))
+            seen["evicted" if out.evicted_id is not None else
+                 "admitted" if out.admitted else "rejected"] += 1
+        elif kind == "initseg" and first:
+            sent = first[a % len(first)].id
+            state.apply_schedule_initseg(sent)
+            seen["initseg"] += 1
+            assert answers(snap) == answers(before)
+        elif kind == "later" and later:
+            sent = later[a % len(later)].id
+            info = state.apply_schedule_later(sent)
+            seen["virtual" if info.rho_was_virtual else "later"] += 1
+        elif kind == "planm" and members:
+            _, event = planm_step(state)
+            sent = event.p_id
+            seen[event.kind] += 1
+            if event.leap is None:
+                assert answers(snap) == answers(before)
+            else:
+                seen["virtual"] += event.leap.rho_was_virtual
+                seen["chain bump"] += len(event.dweights) - 1
+        if sent is not None:
+            seen["expired"] += len(pending - set(state.packets) - {sent})
+        assert all(p.deadline >= state.t for p in state.packets.values())
+        assert answers(state) == answers(state.clone())
+    return seen
+
+
+# the scheduler's own mix, which builds the segment structure that
+# chain bumps need, and one that also transmits arbitrary plan members
+OP_MIXES = (["arrive"] * 3 + ["planm"], ["arrive"] * 4 + ["planm"] * 2 + ["initseg", "later"])
+ops = st.sampled_from(OP_MIXES).flatmap(
+    lambda mix: st.lists(
+        st.tuples(st.sampled_from(mix), st.integers(0, 11), st.integers(0, 11)),
+        max_size=80,
+    )
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(ops)
+def test_incremental_structure_matches_rebuild(ops):
+    replay(ops)
+
+
+def test_incremental_replay_reaches_every_event_kind():
+    """Seeded op sequences through the same check, long enough that
+    every kind of update the engine makes in place occurs."""
+    rng = random.Random(11)
+    seen: Counter = Counter()
+    for mix in OP_MIXES:
+        for _ in range(40):
+            seen += replay([
+                (rng.choice(mix), rng.randrange(12), rng.randrange(12)) for _ in range(80)
+            ])
+    for kind in ("rejected", "evicted", "admitted", "expired", "initseg", "later",
+                 "virtual", "ordinary", "simple-leap", "iterated-leap", "chain bump"):
+        assert seen[kind] > 0, kind

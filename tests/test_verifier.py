@@ -11,6 +11,7 @@ comparison mutations must each be rejected.
 
 import dataclasses
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -621,6 +622,22 @@ def test_mutation_battery_is_always_detected():
         with pytest.raises(VerifierError):
             verify_trace(inst, mutant, opt)
         detected += 1
+
+
+# work counts
+
+
+def test_audit_clones_the_plan_for_leaps_only(fig1, plan_calls):
+    """An ordinary step changes no weight or deadline, so the audit keeps
+    the state before it as a snapshot; only a leap needs a full clone."""
+    _, trace = run("planm", fig1)
+    kinds = Counter(getattr(ev, "kind", "arrival") for ev in trace.events)
+    assert kinds == {"arrival": 8, "ordinary": 5, "simple-leap": 3}
+    plan_calls.clear()
+    verify_trace(fig1, trace, optimal_schedule(fig1))
+    # one refresh for the empty start, one per arrival (all admitted at
+    # t = 0), one per ordinary step, and two per leap (clone, step)
+    assert plan_calls == {"clone": 3, "snapshot": 5, "refresh": 1 + 8 + 5 + 2 * 3}
 
 
 # report surfaces
