@@ -34,7 +34,7 @@ from planpack.offline import (
     optimal_schedule,
     parse_schedule,
 )
-from planpack.schedulers import ALGORITHMS, MonotonicityError, run
+from planpack.schedulers import ALGORITHMS, MonotonicityError, RunTrace, run
 from planpack.trace_io import TraceSyntaxError, load_trace, save_trace
 from planpack.verifier import VerifierError, verify_trace
 
@@ -75,7 +75,7 @@ def _read_schedule(path: str) -> Schedule:
         raise click.ClickException(f"{path}: {exc}") from exc
 
 
-def _read_trace(path: str) -> object:
+def _read_trace(path: str) -> RunTrace:
     try:
         return load_trace(path)
     except (TraceSyntaxError, UnicodeDecodeError) as exc:

@@ -103,10 +103,15 @@ def validate(packets: Iterable[Packet]) -> Instance:
             raise NegativeWeightError(f"packet {p.id}: negative weight {p.weight}")
         horizon = max(horizon, p.deadline)
     cap = os.environ.get(HORIZON_CAP_ENV)
-    if cap is not None and horizon + 1 > int(cap):
-        raise InstanceError(
-            f"horizon sentinel {horizon + 1} exceeds {HORIZON_CAP_ENV}={cap}"
-        )
+    if cap is not None:
+        try:
+            limit = int(cap)
+        except ValueError:
+            raise InstanceError(f"{HORIZON_CAP_ENV} must be an integer, got {cap!r}") from None
+        if horizon + 1 > limit:
+            raise InstanceError(
+                f"horizon sentinel {horizon + 1} exceeds {HORIZON_CAP_ENV}={cap}"
+            )
     return Instance(tuple(ordered), horizon)
 
 

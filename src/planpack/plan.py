@@ -329,10 +329,6 @@ class PlanState:
     def tight_slots(self) -> list[int]:
         return list(self.tights)
 
-    def segments(self) -> list[tuple[int, int]]:
-        """Half-open-below intervals (lo, hi] between consecutive tight slots."""
-        return [(self.tights[i - 1], self.tights[i]) for i in range(1, len(self.tights))]
-
     def nextts(self, tau: int) -> int:
         self._check_slot(tau, self.t)
         return self._profile.nextts(tau)
@@ -367,16 +363,9 @@ class PlanState:
     def plan_members(self) -> list[PendingPacket]:
         return [p for p in self.packets.values() if p.in_plan]
 
-    def plan_weight(self) -> int:
-        return sum(p.weight.value for p in self.plan_members())
-
     def lightest_initseg(self) -> PendingPacket | None:
         """Lightest plan packet in the first segment; None iff the plan is empty."""
         return self._seg_member_min[1]
-
-    def initseg_ids(self) -> set[int]:
-        lo, hi = self.tights[0], self.tights[1]
-        return {p.id for p in self.plan_members() if lo < p.deadline <= hi}
 
     def heaviest_in_window(self, lo: int, hi: int) -> PendingPacket | None:
         """Heaviest plan packet with deadline in (lo, hi], both tight slots."""

@@ -15,9 +15,13 @@ times the run's gain:
 
 Every event is classified into one of a fixed set of cases, each with a
 closed-form potential delta and a per-case inequality that is asserted
-exactly via `golden_sign`.  Structural invariants (timetable entries
-stay schedulable, the backup pool stays feasible, and the potential
-matches a from-scratch recomputation) are re-checked after every event.
+exactly via `golden_sign`.  A leap is audited as the proof charges it:
+`_leap_first_segment` takes L.InSeg, the window goes at once (L.S.1,
+L.I.1) or, cut by `_leap_partition`, group by group (L.S.2, L.I.2):
+`_terminal_group` (T), `_middle_group` (M.i, M.ii), `_initial_group`
+(I).  Structural invariants (timetable entries stay schedulable, the
+backup pool stays feasible, and the potential matches a from-scratch
+recomputation) are re-checked after every event.
 Any failure raises a `VerifierError` subclass carrying enough context
 to replay the event.
 
@@ -41,7 +45,8 @@ from __future__ import annotations
 from collections.abc import Container
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NoReturn
+from functools import partial
+from typing import NamedTuple, NoReturn
 
 from .golden import (
     GoldenNumber,
@@ -58,6 +63,7 @@ from .offline import Schedule
 from .plan import PendingPacket, PlanState, SlackProfile
 from .schedulers import (
     ArrivalEvent,
+    LeapRecord,
     RunTrace,
     ScheduleEvent,
     planm_step,
@@ -150,6 +156,48 @@ class ShadowEntry:
 
 TimetableEntry = RealEntry | ShadowEntry
 Event = ArrivalEvent | ScheduleEvent
+
+
+class _Stop(NamedTuple):
+    """A stop of a leap's replacement chain, weights scaled: p at 0, the
+    shifted packets at 1..k, the promoted substitute rho at k+1.  tau is
+    the tight slot at or after the old deadline, floor the threshold
+    there; new is the (deadline, weight) after the leap, None for p; rise
+    sums the weight increases up to this stop."""
+
+    id: int
+    old_weight: int
+    tau: int
+    floor: int
+    new: tuple[int, int] | None
+    bumped: bool
+    rise: int
+
+
+class _Window(NamedTuple):
+    """A long leap's window as its handlers see it: the plan before the leap,
+    the leap, its chain, the working plan {id: (deadline, weight)}, the case."""
+
+    pre: PlanState
+    rec: LeapRecord
+    stops: list[_Stop]
+    working: dict[int, tuple[int, int]]
+    case: str
+
+
+class _Group(NamedTuple):
+    """Chain stops first..last of a long leap's window, charged as one
+    terminal, middle or initial group; target is the terminal group's
+    window target g, None for the others."""
+
+    kind: str
+    first: int
+    last: int
+    target: int | None
+
+
+# a group handler's potential delta, credit and detail fragment
+_Charge = tuple[GoldenNumber, int, str]
 
 
 @dataclass(frozen=True, slots=True)
@@ -574,7 +622,7 @@ class Verifier:
                 )
                 self._require_frac(f_val <= w_u, "A.2(i)", "cover outweighs evictee")
                 dpsi += PHI_INV * (w_u - f_val)
-                detail_bits.append(f"unclaimed via {f_id if f_id is not None else 'virtual'}")
+                detail_bits.append(f"unclaimed via {_cover(f_id)}")
             if in_comparison:
                 case = "A.2.a"
                 slot = self._slot_of[packet.id]
@@ -748,9 +796,7 @@ class Verifier:
             self._require_frac(f_val <= w_ell, case, "cover outweighs the plan minimum")
             self._require_frac(w_g <= w_p, case, "replaced entry outweighs the transmission")
             dpsi_alg = PHI_INV * (w_g - f_val - w_p)
-            detail_bits.append(
-                f"g={g_id}@{g_slot} f={f_id if f_id is not None else 'virtual'}"
-            )
+            detail_bits.append(f"g={g_id}@{g_slot} f={_cover(f_id)}")
         self._advgain_total += credit
         advgain = adv.scheduled_weight + credit
         dpsi_total = adv.dpsi + dpsi_alg
@@ -808,361 +854,59 @@ class Verifier:
     # leap events
 
     def on_leap_step(self, event: ScheduleEvent) -> EventReport:
+        """Replay a later-segment transmission, a simple or iterated leap.
+
+        `_leap_chain` checks the engine's chain record, `_leap_first_segment`
+        charges L.InSeg, and a window the timetable does not reach is
+        charged at once (L.S.1, L.I.1).  Otherwise (L.S.2, L.I.2)
+        `_leap_partition` cuts the chain into groups that `_leap_groups`
+        charges via `_terminal_group` (T), `_middle_group` (M.i, M.ii)
+        and `_initial_group` (I).  The working plan must end as the mirror's.
+        """
         pre, scheduled, _ = self._mirror_step(event, ("simple-leap", "iterated-leap"))
-        t = event.t
-        rec = event.leap
-        w_p = scheduled.weight.value
-        sub_value = pre.substitute(rec.p_id).weight.value
-        if sub_value != rec.rho_old_weight.value:
-            self._fail(
-                InvariantViolation,
-                "recorded substitute weight disagrees with the plan",
-                case="L.window",
-            )
-        adv = self._adversary_substep(pre, p_weight=w_p, sub_weight=sub_value)
-        detail_bits = [f"adv={adv.case}"]
-
-        # first-segment stage: the plan's lightest early packet leaves
-        ell = pre.packets[rec.ell_id]
-        w_ell = ell.weight.value
-        dpsi_initseg = ZERO
-        claimed = self._real_entries()
-        if rec.ell_id in claimed:
-            ell_slot = claimed[rec.ell_id]
-            self._timetable[ell_slot] = ShadowEntry(w_ell)
-            f_id, f_val = self._restore_backup(
-                pre, _plan_view(pre), claimed, ell.deadline, "L.InSeg(i)"
-            )
-            self._require_frac(f_val <= w_ell, "L.InSeg(i)", "cover outweighs evictee")
-            dpsi_initseg += PHI_INV * (w_ell - f_val)
-            detail_bits.append(f"ell-unclaimed via {f_id if f_id is not None else 'virtual'}")
-        f1_id = self._first_furlough(pre.packets, t - 1, ell.deadline - 1)
-        if f1_id is None:
-            initseg_case = "L.InSeg.1"
-            dpsi_initseg += -(PHI_INV * w_ell)
-        else:
-            initseg_case = "L.InSeg.2"
-            f1_val = pre.packets[f1_id].weight.value
-            self._furloughed.remove(f1_id)
-            self._furloughed.add(rec.ell_id)
-            dpsi_initseg += -(PHI_INV * f1_val)
-        detail_bits.append(initseg_case)
-        self._require_sign(
-            dpsi_initseg + PHI_INV * w_ell, initseg_case, "first-segment delta bound"
-        )
-
-        # replacement chain bookkeeping, indices 0..k for p and the chain,
-        # k+1 for the promoted substitute
+        t, rec = event.t, event.leap
+        stops = self._leap_chain(pre, scheduled, event)
         k = len(rec.chain)
-        h_ids = [rec.p_id] + [link.h_id for link in rec.chain]
-        w_old = [w_p] + [link.old_weight.value for link in rec.chain]
-        w_old.append(rec.rho_old_weight.value)
-        taus = [rec.tau0] + [link.tau for link in rec.chain]
-        mu0 = pre.minwt(scheduled.deadline).value
-        rho_new = rec.rho_new_weight.value
-        if k == 0 and rho_new != mu0:
-            self._fail(
-                InvariantViolation,
-                "promoted weight disagrees with the plan threshold",
-                case="L.window",
-            )
-        # floors[i] is the admission floor of the i-th window segment
-        floors = [mu0] + [link.mu.value for link in rec.chain]
-        dw = [0]
-        for i, link in enumerate(rec.chain):
-            step = link.new_weight.value - link.old_weight.value
-            self._require_frac(step >= 0, "L.window", "chain weight decreased")
-            if link.new_weight != link.old_weight and step != max(
-                floors[i] - link.old_weight.value, 0
-            ):
-                self._fail(
-                    InvariantViolation,
-                    f"chain bump for {link.h_id} is not its floor",
-                    case="L.window",
-                )
-            dw.append(step)
-        dw_rho = rho_new - rec.rho_old_weight.value
-        self._require_frac(dw_rho >= 0, "L.window", "promotion lowered the weight")
-        dw.append(dw_rho)
-        bumped = [False] + [
-            link.new_weight != link.old_weight for link in rec.chain
-        ] + [True]
+        w_p = scheduled.weight.value
+        rho_old = rec.rho_old_weight.value
+        adv = self._adversary_substep(pre, p_weight=w_p, sub_weight=rho_old)
+        dpsi_initseg, initseg_detail = self._leap_first_segment(pre, rec.ell_id)
+        detail_bits = [f"adv={adv.case}", initseg_detail]
 
-        def dw_sum(first: int, last: int) -> int:
-            return sum(dw[first : last + 1])
-
-        dweights_event = dw_sum(1, k + 1)
-        old_by_id = {rec.rho_id: rec.rho_old_weight.value}
-        for link in rec.chain:
-            old_by_id[link.h_id] = link.old_weight.value
-        recorded = 0
-        for pid, tw in event.dweights.items():
-            if pid not in old_by_id:
-                self._fail(
-                    InvariantViolation,
-                    f"weight ledger names packet {pid} outside the chain",
-                    case="L.window",
-                )
-            recorded += tw.value - old_by_id[pid]
-        if dweights_event != recorded:
-            self._fail(
-                InvariantViolation,
-                "weight ledger disagrees with the recorded changes",
-                case="L.window",
-            )
-
-        # working copy of the plan after the first-segment stage; values
-        # are (deadline, weight) pairs evolved substep by substep
-        working: dict[int, tuple[int, int]] = {
+        # the plan after the first-segment stage, evolved group by group
+        # into the plan after the leap
+        working = {
             pid: (pre.packets[pid].deadline, pre.packets[pid].weight.value)
             for pid in pre.plan_ids()
             if pid != rec.ell_id
         }
-
-        new_dw: dict[int, tuple[int, int]] = {}
-        for i, link in enumerate(rec.chain):
-            new_dw[i + 1] = (link.new_deadline, link.new_weight.value)
-        new_dw[k + 1] = (rec.rho_deadline, rec.rho_new_weight.value)
-
-        def apply_updates(first: int, last: int) -> None:
-            for m in range(first, last + 1):
-                pid = h_ids[m] if m <= k else rec.rho_id
-                working[pid] = new_dw[m]
-
-        def working_plan() -> dict[int, int]:
-            return {pid: deadline for pid, (deadline, _) in working.items()}
-
-        def working_backup_check(case: str) -> None:
-            pool = self._backup_pool(pre.packets, working_plan(), self._real_entries())
-            self._check_pool_floor(pool, t + 1, case)
-
         claimed = self._real_entries()
-        window_live = [
-            pid
-            for pid in claimed
-            if pid in working and rec.delta < working[pid][0] <= rec.gamma
-        ]
-        rho_furloughed = rec.rho_id in self._furloughed
-        dpsi_window = ZERO
+        window_live = any(
+            pid in working and rec.delta < working[pid][0] <= rec.gamma for pid in claimed
+        )
+        short = not window_live and rec.rho_id not in self._furloughed
+        case = ("L.S." if k == 0 else "L.I.") + ("1" if short else "2")
+        window = _Window(pre, rec, stops, working, case)
         advgain_window = 0
-        anchors: tuple[int, ...] | None = None
-
-        if not window_live and not rho_furloughed:
-            case = "L.S.1" if k == 0 else "L.I.1"
-            dpsi_window = PHI_INV * (-w_p + rho_new + dw_sum(1, k))
-            del working[rec.p_id]
-            apply_updates(1, k + 1)
-            working_backup_check(case)
+        if short:
+            dpsi_window = PHI_INV * (-w_p + rec.rho_new_weight.value + stops[k].rise)
+            self._advance_working(window, 0, k)
         else:
-            case = "L.S.2" if k == 0 else "L.I.2"
-            targets = [
-                pid
-                for pid in claimed
-                if pid in working and working[pid][0] <= rec.gamma
-            ]
-            if not targets:
-                self._fail(
-                    GroupPartitionError,
-                    "no claimed plan packet can absorb the replacement window",
-                    case=case,
-                )
-            g_star = max(targets, key=lambda pid: (working[pid][0], pid))
-            d_gstar = working[g_star][0]
-            anchors = tuple(
-                i for i in range(k + 1) if h_ids[i] in claimed
-            )
-            g_id = g_star
-            g_index: int | None = None
-            for i in range(k + 1):
-                if pre.prevts(taus[i]) < d_gstar <= taus[i] and h_ids[i] in claimed:
-                    g_id = h_ids[i]
-                    g_index = i
-                    break
-            if g_index is not None and (not anchors or g_index != anchors[-1]):
-                self._fail(
-                    GroupPartitionError,
-                    f"window target lands on chain index {g_index}, "
-                    f"expected the last anchor",
-                    case=case,
-                )
-
-            groups: list[tuple[int, int, str]] = []
-            if anchors and g_index == anchors[-1]:
-                terminal_start = anchors[-1]
-            else:
-                candidates = [i for i in range(k + 1) if taus[i] >= d_gstar]
-                if not candidates:
-                    self._fail(
-                        GroupPartitionError,
-                        "no chain stop reaches the window target's deadline",
-                        case=case,
-                    )
-                terminal_start = min(candidates)
-                if anchors and terminal_start <= anchors[-1]:
-                    self._fail(
-                        GroupPartitionError,
-                        "terminal group would swallow an unprocessed anchor",
-                        case=case,
-                    )
-                if anchors:
-                    groups.append((anchors[-1], terminal_start - 1, "middle"))
-            groups.append((terminal_start, k, "terminal"))
-            for j in range(len(anchors) - 1):
-                groups.append((anchors[j], anchors[j + 1] - 1, "middle"))
-            first_covered = min(a for a, _, _ in groups)
-            if first_covered > 0:
-                groups.append((0, first_covered - 1, "initial"))
-            groups.sort()
-            covered: list[int] = []
-            for a, b, _ in groups:
-                covered.extend(range(a, b + 1))
-            if covered != list(range(k + 1)):
-                self._fail(
-                    GroupPartitionError,
-                    f"groups {groups} do not partition the chain",
-                    case=case,
-                )
-
-            for a, b, kind_g in sorted(groups, reverse=True):
-                claimed_now = self._real_entries()
-                head_claimed = kind_g == "middle" or (
-                    kind_g == "terminal" and g_index == a
-                )
-                lo = a + 1 if head_claimed else a
-                for m in range(lo, min(b + 1, k) + 1):
-                    if h_ids[m] in claimed_now:
-                        self._fail(
-                            GroupPartitionError,
-                            f"chain packet {h_ids[m]} in group [{a}, {b}] "
-                            f"still holds a timetable slot",
-                            case=case,
-                        )
-                w_a = w_old[a]
-                w_next = w_old[b + 1]
-                group_dw = dw_sum(a + 1, b + 1)
-                if kind_g == "terminal":
-                    target = g_id if b == k else None
-                    if target is None:
-                        self._fail(GroupPartitionError, "terminal group misplaced", case=case)
-                    if rho_furloughed:
-                        f_id: int | None = rec.rho_id
-                        f_val = rec.rho_old_weight.value
-                        self._furloughed.remove(rec.rho_id)
-                    else:
-                        f_id, f_val = self._earliest_furlough(
-                            pre, rec.delta, self._state.sentinel, case
-                        )
-                    g_slot = claimed_now.get(g_id)
-                    if g_slot is None:
-                        self._fail(
-                            InvariantViolation,
-                            f"window target {g_id} lost its timetable slot",
-                            case=case,
-                        )
-                    w_g = working[g_id][1]
-                    shadow = pre.minwt(working[g_id][0]).value
-                    self._timetable[g_slot] = ShadowEntry(shadow)
-                    self._require_frac(w_g <= w_a, case, "window target outweighs group head")
-                    self._require_frac(
-                        f_val <= rec.rho_old_weight.value,
-                        case,
-                        "cover outweighs the substitute",
-                    )
-                    self._require_frac(shadow >= floors[a], case, "shadow below the group floor")
-                    credit = w_g - shadow
-                    self._require_frac(credit >= 0, case, "negative replacement credit")
-                    advgain_window += credit
-                    dpsi_g = PHI_INV * (w_g - f_val - w_a + rho_new + dw_sum(a + 1, k))
-                    detail_bits.append(
-                        f"T[{a},{k}] g={g_id} f={f_id if f_id is not None else 'virtual'}"
-                    )
-                elif kind_g == "middle":
-                    if h_ids[a] not in claimed_now:
-                        self._fail(
-                            GroupPartitionError,
-                            f"middle group head {h_ids[a]} holds no timetable slot",
-                            case=case,
-                        )
-                    slot_a = claimed_now[h_ids[a]]
-                    if any(bumped[m] for m in range(a + 1, b + 2)):
-                        self._timetable[slot_a] = ShadowEntry(floors[a])
-                        f_id, f_val = self._restore_backup(
-                            pre,
-                            working_plan(),
-                            claimed_now,
-                            working[h_ids[a]][0],
-                            case + ".M.i",
-                        )
-                        self._require_frac(
-                            f_val <= w_next, case, "cover outweighs the group tail"
-                        )
-                        self._require_frac(floors[a] <= w_a, case, "floor outweighs group head")
-                        credit = w_a - floors[a]
-                        advgain_window += credit
-                        dpsi_g = PHI_INV * (dw_sum(a + 1, b + 1) + w_next - f_val)
-                        detail_bits.append(
-                            f"M.i[{a},{b}] f={f_id if f_id is not None else 'virtual'}"
-                        )
-                    else:
-                        successor = h_ids[a + 1]
-                        if successor in claimed_now:
-                            self._fail(
-                                InvariantViolation,
-                                f"chain packet {successor} already holds a slot",
-                                case=case,
-                            )
-                        if new_dw[a + 1][0] < slot_a:
-                            self._fail(
-                                InvariantViolation,
-                                f"replacement {successor} cannot reach slot {slot_a}",
-                                case=case,
-                            )
-                        self._timetable[slot_a] = RealEntry(successor)
-                        credit = w_a - w_old[a + 1]
-                        self._require_frac(credit >= 0, case, "negative replacement credit")
-                        advgain_window += credit
-                        dpsi_g = PHI_INV * (-w_old[a + 1] + w_next)
-                        detail_bits.append(f"M.ii[{a},{b}] -> {successor}")
-                else:
-                    if any(h_ids[m] in claimed_now for m in range(a, b + 1)):
-                        self._fail(
-                            GroupPartitionError,
-                            "initial group contains a claimed packet",
-                            case=case,
-                        )
-                    credit = 0
-                    dpsi_g = PHI_INV * (dw_sum(a + 1, b + 1) - w_p + w_next)
-                    detail_bits.append(f"I[{a},{b}]")
-                self._require_sign(
-                    dpsi_g - PHI * group_dw - credit + w_a - w_next,
-                    case,
-                    f"group [{a}, {b}] inequality",
-                )
-                dpsi_window += dpsi_g
-                del working[h_ids[a]]
-                apply_updates(a + 1, b + 1)
-                working_backup_check(case)
+            groups, anchors = self._leap_partition(window, claimed)
+            dpsi_window, advgain_window, fragments = self._leap_groups(window, groups)
+            detail_bits += fragments + [f"anchors={list(anchors)}"]
             self._advgain_total += advgain_window
 
-        key2 = dpsi_window - PHI * dweights_event - advgain_window + w_p - rec.rho_old_weight.value
+        dweights_event = stops[-1].rise
+        key2 = dpsi_window - PHI * dweights_event - advgain_window + w_p - rho_old
         self._require_sign(key2, case, "window inequality")
-
-        state = self._state
-        if set(working) != state.plan_ids():
-            self._fail(
-                InvariantViolation,
-                "working plan membership diverged from the mirror",
-                case=case,
-            )
-        for pid, (deadline, value) in working.items():
-            pkt = state.packets[pid]
-            if pkt.deadline != deadline or pkt.weight.value != value:
-                self._fail(
-                    InvariantViolation,
-                    f"working plan packet {pid} diverged from the mirror",
-                    case=case,
-                )
-
+        fail = partial(self._fail, InvariantViolation, case=case)
+        packets = self._state.packets
+        if working.keys() != self._state.plan_ids():
+            fail("working plan membership diverged from the mirror")
+        for pid, entry in working.items():
+            if entry != (packets[pid].deadline, packets[pid].weight.value):
+                fail(f"working plan packet {pid} diverged from the mirror")
         dpsi_total = adv.dpsi + dpsi_initseg + dpsi_window
         self._potential += dpsi_total
         advgain = adv.scheduled_weight + advgain_window
@@ -1171,20 +915,258 @@ class Verifier:
         self._dweights_total += dweights_event
         self._gain0 += scheduled.original_weight
         self._gain_current += w_p
-        if anchors is not None:
-            detail_bits.append(f"anchors={list(anchors)}")
         return self._report(
-            time=t,
-            kind=event.kind,
-            case=case,
-            detail=" ".join(detail_bits),
-            advgain=advgain,
-            dweights=dweights_event,
-            dpsi_adv=adv.dpsi,
-            dpsi_initseg=dpsi_initseg,
-            dpsi_window=dpsi_window,
-            margin=margin,
+            time=t, kind=event.kind, case=case, detail=" ".join(detail_bits), advgain=advgain,
+            dweights=dweights_event, dpsi_adv=adv.dpsi, dpsi_initseg=dpsi_initseg,
+            dpsi_window=dpsi_window, margin=margin,
         )
+
+    def _leap_chain(
+        self, pre: PlanState, scheduled: PendingPacket, event: ScheduleEvent
+    ) -> list[_Stop]:
+        """Check the engine's record of a leap's chain; returns stops 0..k+1.
+
+        The substitute's recorded weight is the plan's, a simple leap
+        promotes it to the threshold at p's deadline, no weight falls, a
+        bump lifts a packet exactly to the floor of the stop before it,
+        and the weight ledger sums the chain's rise over chain packets.
+        """
+        rec = event.leap
+        fail = partial(self._fail, InvariantViolation, case="L.window")
+        if pre.substitute(rec.p_id).weight.value != rec.rho_old_weight.value:
+            fail("recorded substitute weight disagrees with the plan")
+        floor = pre.minwt(scheduled.deadline).value
+        rho_new = rec.rho_new_weight.value
+        if not rec.chain and rho_new != floor:
+            fail("promoted weight disagrees with the plan threshold")
+        stops = [_Stop(rec.p_id, scheduled.weight.value, rec.tau0, floor, None, False, 0)]
+        for link in rec.chain:
+            old = link.old_weight.value
+            step = link.new_weight.value - old
+            self._require_frac(step >= 0, "L.window", "chain weight decreased")
+            bumped = link.new_weight != link.old_weight
+            if bumped and step != max(stops[-1].floor - old, 0):
+                fail(f"chain bump for {link.h_id} is not its floor")
+            new, rise = (link.new_deadline, link.new_weight.value), stops[-1].rise + step
+            stops.append(_Stop(link.h_id, old, link.tau, link.mu.value, new, bumped, rise))
+        old = rec.rho_old_weight.value
+        self._require_frac(rho_new >= old, "L.window", "promotion lowered the weight")
+        new, rise = (rec.rho_deadline, rho_new), stops[-1].rise + rho_new - old
+        stops.append(_Stop(rec.rho_id, old, rec.gamma, rho_new, new, True, rise))
+        recorded = 0
+        for pid, tw in event.dweights.items():
+            stop = next((s for s in stops[1:] if s.id == pid), None)
+            if stop is None:
+                fail(f"weight ledger names packet {pid} outside the chain")
+            recorded += tw.value - stop.old_weight
+        if recorded != stops[-1].rise:
+            fail("weight ledger disagrees with the recorded changes")
+        return stops
+
+    def _leap_first_segment(self, pre: PlanState, ell_id: int) -> tuple[GoldenNumber, str]:
+        """Charge the first segment's loss of its lightest packet ell;
+        returns the potential delta and the detail fragment.
+
+        A slot claiming ell keeps ell's weight as a placeholder and the
+        furlough backing ell is released (L.InSeg(i)).  Then ell leaves
+        the backup pool (L.InSeg.1), or is furloughed in place of the
+        earliest furlough due in [t, d(ell)), which leaves (L.InSeg.2).
+        """
+        ell = pre.packets[ell_id]
+        w_ell = ell.weight.value
+        dpsi = ZERO
+        detail_bits = []
+        claimed = self._real_entries()
+        if ell_id in claimed:
+            self._timetable[claimed[ell_id]] = ShadowEntry(w_ell)
+            f_id, f_val = self._restore_backup(
+                pre, _plan_view(pre), claimed, ell.deadline, "L.InSeg(i)"
+            )
+            self._require_frac(f_val <= w_ell, "L.InSeg(i)", "cover outweighs evictee")
+            dpsi += PHI_INV * (w_ell - f_val)
+            detail_bits.append(f"ell-unclaimed via {_cover(f_id)}")
+        f1_id = self._first_furlough(pre.packets, pre.t - 1, ell.deadline - 1)
+        if f1_id is None:
+            case = "L.InSeg.1"
+            dpsi += -(PHI_INV * w_ell)
+        else:
+            case = "L.InSeg.2"
+            self._furloughed.remove(f1_id)
+            self._furloughed.add(ell_id)
+            dpsi += -(PHI_INV * pre.packets[f1_id].weight.value)
+        detail_bits.append(case)
+        self._require_sign(dpsi + PHI_INV * w_ell, case, "first-segment delta bound")
+        return dpsi, " ".join(detail_bits)
+
+    def _leap_partition(
+        self, window: _Window, claimed: dict[int, int]
+    ) -> tuple[list[_Group], tuple[int, ...]]:
+        """Cut a long leap's chain stops 0..k into groups in the order they
+        are charged; returns them and the anchors, the claimed stops.
+
+        g* is the claimed plan packet with the latest working deadline up
+        to gamma.  An anchor whose (prevts(tau), tau] holds d(g*) must be
+        the last: it is the window target g and heads the terminal group.
+        Else g is g*, and the terminal group starts at the first stop
+        whose tau reaches d(g*), past the last anchor.  Each other anchor
+        heads a middle group; the stops below them form the initial group.
+
+        The groups partition 0..k by construction: the terminal group ends
+        at k, each later one just below the start of the one before, and
+        the initial one starts at 0; the middle heads are distinct anchors
+        below the terminal start, so no group is empty.
+        """
+        pre, rec, stops, working, case = window
+        k = len(stops) - 2
+        fail = partial(self._fail, GroupPartitionError, case=case)
+        targets = [pid for pid in claimed if pid in working and working[pid][0] <= rec.gamma]
+        if not targets:
+            fail("no claimed plan packet can absorb the replacement window")
+        g_star = max(targets, key=lambda pid: (working[pid][0], pid))
+        d_gstar = working[g_star][0]
+        anchors = tuple(i for i in range(k + 1) if stops[i].id in claimed)
+        g_index = next(
+            (i for i in anchors if pre.prevts(stops[i].tau) < d_gstar <= stops[i].tau), None
+        )
+        if g_index is not None:
+            if g_index != anchors[-1]:
+                fail(f"window target lands on chain index {g_index}, expected the last anchor")
+            terminal = _Group("terminal", g_index, k, stops[g_index].id)
+            heads = anchors[:-1]
+        else:
+            candidates = [i for i in range(k + 1) if stops[i].tau >= d_gstar]
+            if not candidates:
+                fail("no chain stop reaches the window target's deadline")
+            start = min(candidates)
+            if anchors and start <= anchors[-1]:
+                fail("terminal group would swallow an unprocessed anchor")
+            terminal = _Group("terminal", start, k, g_star)
+            heads = anchors
+        groups = [terminal]
+        for head in reversed(heads):
+            groups.append(_Group("middle", head, groups[-1].first - 1, None))
+        if groups[-1].first > 0:
+            groups.append(_Group("initial", 0, groups[-1].first - 1, None))
+        return groups, anchors
+
+    def _leap_groups(
+        self, window: _Window, groups: list[_Group]
+    ) -> tuple[GoldenNumber, int, list[str]]:
+        """Charge a long leap's window group by group; returns the
+        window's potential delta, its credit and the groups' fragments.
+
+        No chain stop a..b+1 (up to k) but the head may hold a slot, and
+        the handler's dpsi_g and credit must satisfy
+        dpsi_g - phi*(rise of a+1..b+1) - credit + w_a - w_{b+1} >= 0.
+        """
+        stops, k = window.stops, len(window.stops) - 2
+        handlers = {"terminal": self._terminal_group, "middle": self._middle_group,
+                    "initial": self._initial_group}
+        dpsi_window = ZERO
+        advgain = 0
+        fragments = []
+        for group in groups:
+            a, b = group.first, group.last
+            claimed = self._real_entries()
+            for stop in stops[a + (stops[a].id in claimed) : min(b + 1, k) + 1]:
+                if stop.id in claimed:
+                    self._fail(
+                        GroupPartitionError,
+                        f"chain packet {stop.id} in group [{a}, {b}] still holds a timetable slot",
+                        case=window.case,
+                    )
+            dpsi_g, credit, fragment = handlers[group.kind](window, group, claimed)
+            head, tail = stops[a], stops[b + 1]
+            slack = dpsi_g - PHI * (tail.rise - head.rise) - credit
+            slack += head.old_weight - tail.old_weight
+            self._require_sign(slack, window.case, f"group [{a}, {b}] inequality")
+            dpsi_window += dpsi_g
+            advgain += credit
+            fragments.append(fragment)
+            self._advance_working(window, a, b)
+        return dpsi_window, advgain, fragments
+
+    def _terminal_group(self, window: _Window, group: _Group, claimed: dict[int, int]) -> _Charge:
+        """T: the window target g's slot takes a placeholder at the plan
+        threshold at g's deadline, credited against g's weight.  The
+        substitute, if furloughed, or else the earliest furlough due
+        after delta is released to cover g."""
+        pre, rec, stops, working, case = window
+        a, k, g_id = group.first, group.last, group.target
+        if rec.rho_id in self._furloughed:
+            f_id, f_val = rec.rho_id, stops[-1].old_weight
+            self._furloughed.remove(rec.rho_id)
+        else:
+            f_id, f_val = self._earliest_furlough(pre, rec.delta, self._state.sentinel, case)
+        g_slot = claimed.get(g_id)
+        if g_slot is None:
+            self._fail(
+                InvariantViolation, f"window target {g_id} lost its timetable slot", case=case
+            )
+        g_deadline, w_g = working[g_id]
+        shadow = pre.minwt(g_deadline).value
+        self._timetable[g_slot] = ShadowEntry(shadow)
+        w_a = stops[a].old_weight
+        self._require_frac(w_g <= w_a, case, "window target outweighs group head")
+        self._require_frac(f_val <= stops[-1].old_weight, case, "cover outweighs the substitute")
+        self._require_frac(shadow >= stops[a].floor, case, "shadow below the group floor")
+        credit = w_g - shadow
+        self._require_frac(credit >= 0, case, "negative replacement credit")
+        rise = stops[k].rise - stops[a].rise
+        dpsi = PHI_INV * (w_g - f_val - w_a + rec.rho_new_weight.value + rise)
+        return dpsi, credit, f"T[{a},{k}] g={g_id} f={_cover(f_id)}"
+
+    def _middle_group(self, window: _Window, group: _Group, claimed: dict[int, int]) -> _Charge:
+        """M: the group's head, an anchor, gives up its slot.  If a stop
+        after it up to b+1 was bumped (M.i), the slot takes a placeholder
+        at the head's floor and the furlough backing the head is
+        released; otherwise (M.ii) the next stop takes the slot over."""
+        pre, _, stops, working, case = window
+        fail = partial(self._fail, case=case)
+        a, b = group.first, group.last
+        head, tail = stops[a], stops[b + 1]
+        slot = claimed.get(head.id)
+        if slot is None:
+            fail(GroupPartitionError, f"middle group head {head.id} holds no timetable slot")
+        if any(stop.bumped for stop in stops[a + 1 : b + 2]):
+            self._timetable[slot] = ShadowEntry(head.floor)
+            f_id, f_val = self._restore_backup(
+                pre, _deadlines(working), claimed, working[head.id][0], case + ".M.i"
+            )
+            self._require_frac(f_val <= tail.old_weight, case, "cover outweighs the group tail")
+            self._require_frac(head.floor <= head.old_weight, case, "floor outweighs group head")
+            dpsi = PHI_INV * (tail.rise - head.rise + tail.old_weight - f_val)
+            return dpsi, head.old_weight - head.floor, f"M.i[{a},{b}] f={_cover(f_id)}"
+        successor = stops[a + 1]
+        if successor.id in claimed:
+            fail(InvariantViolation, f"chain packet {successor.id} already holds a slot")
+        if successor.new[0] < slot:
+            fail(InvariantViolation, f"replacement {successor.id} cannot reach slot {slot}")
+        self._timetable[slot] = RealEntry(successor.id)
+        credit = head.old_weight - successor.old_weight
+        self._require_frac(credit >= 0, case, "negative replacement credit")
+        dpsi = PHI_INV * (tail.old_weight - successor.old_weight)
+        return dpsi, credit, f"M.ii[{a},{b}] -> {successor.id}"
+
+    def _initial_group(self, window: _Window, group: _Group, claimed: dict[int, int]) -> _Charge:
+        """I: the stops from p below the lowest anchor hold no slot, as
+        `_leap_groups` checks; p's weight leaves the backup pool and stop
+        b+1's joins it."""
+        a, b = group.first, group.last
+        stops = window.stops
+        tail = stops[b + 1]
+        dpsi = PHI_INV * (tail.rise - stops[a].rise - stops[0].old_weight + tail.old_weight)
+        return dpsi, 0, f"I[{a},{b}]"
+
+    def _advance_working(self, window: _Window, a: int, b: int) -> None:
+        """Move a leap's working plan past chain stops a..b: stop a leaves
+        it, stops a+1..b+1 take their new deadlines and weights, and the
+        backup pool over it must still fit from t+1 on."""
+        working = window.working
+        del working[window.stops[a].id]
+        working.update((stop.id, stop.new) for stop in window.stops[a + 1 : b + 2])
+        pool = self._backup_pool(window.pre.packets, _deadlines(working), self._real_entries())
+        self._check_pool_floor(pool, window.pre.t + 1, window.case)
 
     # ------------------------------------------------------------------
 
@@ -1257,6 +1239,16 @@ class Verifier:
 def _plan_view(state: PlanState) -> dict[int, int]:
     """The plan of state as {packet id: deadline}."""
     return {p.id: p.deadline for p in state.packets.values() if p.in_plan}
+
+
+def _deadlines(working: dict[int, tuple[int, int]]) -> dict[int, int]:
+    """A leap's working plan as a plan view, {packet id: deadline}."""
+    return {pid: deadline for pid, (deadline, _) in working.items()}
+
+
+def _cover(fid: int | None) -> str:
+    """A released furlough's id, or virtual for the zero-weight stand-in."""
+    return "virtual" if fid is None else str(fid)
 
 
 def verify_trace(

@@ -159,13 +159,13 @@ def test_incremental_plan_matches_scratch_recompute():
                 next_id += 1
             else:
                 pid = rng.choice(plan)
-                if pid in state.initseg_ids():
+                if state.tights[0] < state.packets[pid].deadline <= state.tights[1]:
                     state.apply_schedule_initseg(pid)
                 else:
                     state.apply_schedule_later(pid)
             check_against_oracles(state, exhaustive=False)
             tights = state.tight_slots()
-            assert state.segments() == list(zip(tights[:-1], tights[1:]))
+            assert list(zip(state.tights, state.tights[1:])) == list(zip(tights[:-1], tights[1:]))
             events += 1
         if events >= 10_000:
             break

@@ -78,6 +78,19 @@ class TestSimulate:
         assert result.exit_code == 1
         assert "SCHED_HORIZON_CAP" in result.output
 
+    def test_non_integer_horizon_cap_is_named(self, runner, w2_file, tmp_path, monkeypatch):
+        monkeypatch.setenv("SCHED_HORIZON_CAP", "abc")
+        message = "SCHED_HORIZON_CAP must be an integer, got 'abc'"
+        simulate = runner.invoke(main, ["simulate", "--instance", w2_file])
+        assert simulate.exit_code == 1
+        assert simulate.output == f"Error: {w2_file}: {message}\n"
+        generate = runner.invoke(
+            main, ["generate", "--generator", "s-bounded", "--steps", "5",
+                   "--out", str(tmp_path / "g.jsonl")]
+        )
+        assert generate.exit_code == 1
+        assert generate.output == f"Error: {message}\n"
+
     def test_monotonicity_monitor_flag(self, runner, w1_file):
         ok = runner.invoke(
             main, ["simulate", "--instance", w1_file, "--check-monotonicity"]

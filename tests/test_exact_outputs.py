@@ -100,14 +100,19 @@ def test_outputs_match_pins(seed, tmp_path):
     assert digests == PINS[seed]
 
 
-# (steps, seed) -> (kind, case, detail fragment) of a ledger row the run
-# must reach, and the digests in PINS order.  The instances are
-# uniform-random with 4 packets per step and weights up to 20; they pin
-# the verifier's rarer branches: an arrival evicting a claimed plan
-# packet (A.2(i)), a placeholder popped at an idle slot, and an arrival
-# that furloughs its evictee and releases another furlough (A.2.b).
+# (family, steps, seed) -> (kind, case, detail fragment) of a ledger row
+# the run must reach, and the digests in PINS order.  The instances have
+# 4 packets per step and weights up to 20, s-bounded ones span 4; they
+# pin the verifier's rarer branches: an arrival evicting a claimed plan
+# packet (A.2(i)), a placeholder popped at an idle slot, an arrival that
+# furloughs its evictee and releases another furlough (A.2.b), and the
+# leap cases the fractional runs above may miss: a middle group with a
+# bump (M.i), a leap whose first segment releases a claimed packet
+# (L.InSeg(i)), a three-anchor window with two M.ii groups, and a
+# first segment that swaps its lightest packet for a furlough
+# (L.InSeg.2).
 BRANCH_PINS = {
-    (20, 3): (
+    ("uniform-random", 20, 3): (
         ("arrival", "A.2", "unclaimed via"),
         (
             "abfc127156cdb40106c7907f1b51dea3badb9eb6f5c99c4b6855de496f3b78a2",
@@ -117,7 +122,7 @@ BRANCH_PINS = {
             "ea72bf820df3023494e47f33a80bc096c8a49de426aee2239c5c41e33c6838da",
         ),
     ),
-    (8, 44): (
+    ("uniform-random", 8, 44): (
         ("idle", "ADV.2", ""),
         (
             "59b121b337c0f4101d06a53bcf295a91e63d11969686e2bd08daada2ce4591b5",
@@ -127,7 +132,7 @@ BRANCH_PINS = {
             "a97acf973d81fe7c52f144214cc998903394ec17a070056fcd152ca4537d0d9f",
         ),
     ),
-    (8, 0): (
+    ("uniform-random", 8, 0): (
         ("arrival", "A.2.b", "released"),
         (
             "aa18d7b129f6cd40ab3fc39b70eee10a1433efa78af345a880f6d878a496c89a",
@@ -136,17 +141,58 @@ BRANCH_PINS = {
             "45e64ad700f752f0c8990f9d3ccd089a6af57143d13bed5ae6e093c41c2beed0",
             "5d9c024916faedc191516d9259ea6e21c369407098e3429610da1e49e316e23f",
         ),
+    ),    ("s-bounded", 20, 7): (
+        ("iterated-leap", "L.I.2",
+         "T[1,1] g=30 f=virtual M.i[0,0] f=virtual anchors=[0, 1]"),
+        (
+            "ad601e2e66026d243e54a60ee2039fa4d52eb0a5844791b8bad65c3672647b9f",
+            "ababe44884abd49a42f6c43382267aae9fe28b15f19947b09ebb4e6668e4e997",
+            "cca236a709448e71f6fbb0fd201ba2a2b124085346e9f18ca54f8fa2ff46d97a",
+            "fa6f6dfb49389e54f202a8074a3fa6b53d1656a88a2c72d997d85efd3e755820",
+            "a8e06c1a5f3b51be421887af04f59988301c288cee1fbabad0261b557bdcf7da",
+        ),
+    ),
+    ("s-bounded", 20, 13): (
+        ("simple-leap", "L.S.2", "ell-unclaimed via virtual L.InSeg.1"),
+        (
+            "bfab92dd10e138bcaed25169f7d47c262b9652fb91c10f3868eb55c5654d9447",
+            "61e900aa3cb914473223794091ff5bb30a175c37d210e4fb975d3c4c8f049542",
+            "5eb76a3e29f50e868d7f1a620141ae8d2c1454011c27ef5060fcd58ea615c504",
+            "e032947bf43fa832650ed60b9c7c730e161dbcb94d9d03303a7e2c4b0b2c3cda",
+            "e742865ae45ba7f8af98568285e6e8127104c1ca4fd03e01ded8f188e881c59f",
+        ),
+    ),
+    ("s-bounded", 40, 58): (
+        ("iterated-leap", "L.I.2",
+         "T[2,2] g=68 f=67 M.ii[1,1] -> 68 M.ii[0,0] -> 69 anchors=[0, 1, 2]"),
+        (
+            "f39f34d14a0ec82cf2246136bc2af9b65b0d08a82440d3ea6b6eceb00382c791",
+            "d8346cb0ff1b42c7397aa3df278eea652df7fec01e2cd748e1463347d9c5559e",
+            "c802f797a103a72a7cfcc962c641788df2f8a0ba6193ce25e792601c582f3b9f",
+            "2ade7fb423bc3e90875878dfcfb101d16bb88a4d9396eaefdb2069bc44d89c8d",
+            "defa9f7ad053bdfb26e1eb8fe2baaad62951b78a4c7272399bc6eb93c60ff064",
+        ),
+    ),
+    ("s-bounded", 40, 158): (
+        ("simple-leap", "L.S.2", "L.InSeg.2 T[0,0] g=53 f=virtual anchors=[0]"),
+        (
+            "2ad3cdd7bdfc27b34c968fdd98d5c44446186f1570c9de1aed96f1401738b9f2",
+            "6eb6a508712248914874d82751cd14929062f62fe3c8656b1b693b01bd7e44bb",
+            "6804efc85289dfb77f01f5b9d2c54541c05cbe6465e32e88e16ba89a3b6b2ed1",
+            "435016707558ed62102486e1329bc66894dc783338f846a0136e04b9ece25ae2",
+            "fe295302aa40bab86d2ff5cf6199dde9936803336e569cbfcc07cf1173cef68c",
+        ),
     ),
 }
 
 
-@pytest.mark.parametrize("steps, seed", sorted(BRANCH_PINS))
-def test_rare_branch_outputs_match_pins(steps, seed, tmp_path):
+@pytest.mark.parametrize("family, steps, seed", sorted(BRANCH_PINS))
+def test_rare_branch_outputs_match_pins(family, steps, seed, tmp_path):
     instance = generate(GeneratorConfig(
-        "uniform-random", steps, seed=seed, packets_per_step=4, weight_max=20
+        family, steps, seed=seed, packets_per_step=4, weight_max=20, span=4
     ))
     digests, _ = pipeline(instance, tmp_path)
-    (kind, case, fragment), pins = BRANCH_PINS[steps, seed]
+    (kind, case, fragment), pins = BRANCH_PINS[family, steps, seed]
     with open(tmp_path / "ledger.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert any(

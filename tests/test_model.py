@@ -164,6 +164,12 @@ def test_horizon_cap_enforced(monkeypatch):
     validate([mk(1, 0, 9, 1)])
 
 
+def test_horizon_cap_must_be_an_integer(monkeypatch):
+    monkeypatch.setenv("SCHED_HORIZON_CAP", "abc")
+    with pytest.raises(InstanceError, match="SCHED_HORIZON_CAP must be an integer, got 'abc'"):
+        validate([mk(1, 0, 9, 1)])
+
+
 def test_horizon_cap_absent_by_default(monkeypatch):
     monkeypatch.delenv("SCHED_HORIZON_CAP", raising=False)
     validate([mk(1, 0, 10**6, 1)])
