@@ -10,11 +10,14 @@ decimal ratio column is rendered at six digits for humans only.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import functools
 import os
 import sys
 import time
 from fractions import Fraction
+from typing import Iterator, TextIO
 
 import click
 
@@ -36,7 +39,7 @@ from planpack.offline import (
 )
 from planpack.schedulers import ALGORITHMS, MonotonicityError, RunTrace, run
 from planpack.trace_io import TraceSyntaxError, load_trace, save_trace
-from planpack.verifier import VerifierError, verify_trace
+from planpack.verifier import VerificationResult, VerifierError, verify_trace
 
 LEDGER_COLUMNS = (
     "index", "time", "kind", "case", "detail", "advgain", "dweights",
@@ -58,6 +61,60 @@ def _decimal6(q: Fraction) -> str:
     sign = "-" if scaled < 0 else ""
     mag = abs(scaled)
     return f"{sign}{mag // 10**6}.{mag % 10**6:06d}"
+
+
+def _integral(text: str) -> str:
+    """``_display`` of a rational from its ``num/den`` text."""
+    return text[:-2] if text.endswith("/1") else text
+
+
+def write_ledger(result: VerificationResult, fh: TextIO) -> None:
+    """Write an audit's per-event ledger as CSV, one row per slot.
+
+    The report's values are integers over the instance's common
+    denominator; ``WeightScale.text`` turns each into its rational's
+    text.  Consecutive rows repeat most values (zeros, the potential,
+    a delta that is also the total), so a small cache, local to the
+    call, formats most values once.  Only the text cells (kind, case,
+    detail) can need quoting, so only they go through the csv writer;
+    the numeric cells (digits, ``-``, ``/``, ``+``, ``*phi``) are joined
+    as they are.  The bytes are those of a csv writer given every cell.
+    """
+    text = functools.lru_cache(maxsize=16)(result.scale.text)
+    # the writer's write returns the row it was given, terminator and all
+    quote = csv.writer(_Echo(), lineterminator="\n").writerow
+
+    def golden_text(x: GoldenNumber) -> str:
+        return f"{text(x.a)}+{text(x.b)}*phi"
+
+    fh.write(quote(LEDGER_COLUMNS))
+    for rep in result.reports:
+        tail = ",".join((
+            quote((rep.kind, rep.case, rep.detail))[:-1],
+            _integral(text(rep.advgain)), _integral(text(rep.dweights)),
+            golden_text(rep.dpsi_adv), golden_text(rep.dpsi_initseg),
+            golden_text(rep.dpsi_window), golden_text(rep.dpsi_total),
+            golden_text(rep.psi_after), golden_text(rep.margin),
+        ))
+        # a report of an idle run stands for one row per slot
+        fh.writelines(f"{rep.index + k},{rep.time + k},{tail}\n" for k in range(rep.slots))
+
+
+class _Echo:
+    """A csv writer's sink that hands each formatted row back."""
+
+    @staticmethod
+    def write(row: str) -> str:
+        return row
+
+
+@contextlib.contextmanager
+def _writing(path: str) -> Iterator[None]:
+    """An output path that cannot be opened or written is a typed error."""
+    try:
+        yield
+    except OSError as exc:
+        raise click.ClickException(f"{path}: {exc.strerror or exc}") from exc
 
 
 def _read_instance(path: str) -> Instance:
@@ -112,7 +169,8 @@ def simulate(instance_path: str, algorithm: str, trace_path: str | None,
     except MonotonicityError as exc:
         raise click.ClickException(str(exc)) from exc
     if trace_path is not None:
-        save_trace(trace, trace_path)
+        with _writing(trace_path):
+            save_trace(trace, trace_path)
     click.echo(f"gain0 = {_display(result.gain0)}")
 
 
@@ -125,7 +183,7 @@ def opt(instance_path: str, out_path: str | None) -> None:
     inst = _read_instance(instance_path)
     schedule = optimal_schedule(inst)
     if out_path is not None:
-        with open(out_path, "w", encoding="utf-8") as fh:
+        with _writing(out_path), open(out_path, "w", encoding="utf-8") as fh:
             fh.write(format_schedule(schedule))
     click.echo(f"opt = {_display(schedule.weight0)}")
 
@@ -151,27 +209,11 @@ def verify(instance_path: str, trace_path: str, comparison_path: str,
         result = verify_trace(inst, trace, comparison)
     except VerifierError as exc:
         raise click.ClickException(str(exc)) from exc
-    # the ledger's values are integers over the instance's common
-    # denominator; its rows show the rationals
-    rational = result.scale.rational
-
-    def golden_text(x: GoldenNumber) -> str:
-        return format_golden(result.scale.golden(x))
-
     if out_path is not None:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(LEDGER_COLUMNS)
-            for rep in result.reports:
-                # a report of an idle run stands for one row per slot
-                cells = (
-                    rep.kind, rep.case, rep.detail,
-                    _display(rational(rep.advgain)), _display(rational(rep.dweights)),
-                    golden_text(rep.dpsi_adv), golden_text(rep.dpsi_initseg),
-                    golden_text(rep.dpsi_window), golden_text(rep.dpsi_total),
-                    golden_text(rep.psi_after), golden_text(rep.margin),
-                )
-                writer.writerows((rep.index + k, rep.time + k) + cells for k in range(rep.slots))
+        # the reports hold integers over the instance's common denominator;
+        # write_ledger prints the rationals they stand for
+        with _writing(out_path), open(out_path, "w", encoding="utf-8", newline="") as fh:
+            write_ledger(result, fh)
     s = result.summary
     click.echo(
         f"ok: {s.events} events, advgain {_display(s.advgain_total)}, "
@@ -205,9 +247,10 @@ def generate(kind: str, steps: int, seed: int, count: int, packets_per_step: int
             if count == 1:
                 path = out_path
             else:
-                os.makedirs(out_path, exist_ok=True)
+                with _writing(out_path):
+                    os.makedirs(out_path, exist_ok=True)
                 path = os.path.join(out_path, f"{kind}-{seed + i}.jsonl")
-            with open(path, "w", encoding="utf-8") as fh:
+            with _writing(path), open(path, "w", encoding="utf-8") as fh:
                 fh.write(serialize_instance(inst))
             paths.append(path)
     except ValueError as exc:
@@ -281,14 +324,12 @@ def bench(kind: str, algorithms: tuple[str, ...], count: int, seed: int, steps: 
                     ratio,
                     f"{elapsed:.3f}" if timings else "-",
                 ))
-    sink = open(out_path, "w", encoding="utf-8", newline="") if out_path else sys.stdout
-    try:
-        writer = csv.writer(sink, lineterminator="\n")
-        writer.writerow(BENCH_COLUMNS)
-        writer.writerows(rows)
-    finally:
-        if out_path:
-            sink.close()
+    table = [BENCH_COLUMNS, *rows]
+    if out_path is None:
+        csv.writer(sys.stdout, lineterminator="\n").writerows(table)
+    else:
+        with _writing(out_path), open(out_path, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(table)
     if any(row[4] == "fail" for row in rows):
         sys.exit(1)
 

@@ -192,14 +192,29 @@ class WeightScale:
             )
         return w.numerator * k
 
+    def _inputs(self) -> dict[int, Fraction]:
+        if self._rationals is None:
+            self._rationals = {self.scaled(w): w for w in self._weights}
+        return self._rationals
+
     def rational(self, x: int) -> Fraction:
         """The exact rational x/D."""
         if self.denominator == 1:
             return Fraction(x)
-        if self._rationals is None:
-            self._rationals = {self.scaled(w): w for w in self._weights}
-        q = self._rationals.get(x)
+        q = self._inputs().get(x)
         return Fraction(x, self.denominator) if q is None else q
+
+    def text(self, x: int) -> str:
+        """``format_rational(self.rational(x))``, built without a Fraction:
+        an input weight from the table, anything else reduced by one gcd."""
+        d = self.denominator
+        if d == 1:
+            return f"{x}/1"
+        q = self._inputs().get(x)
+        if q is not None:
+            return format_rational(q)
+        g = math.gcd(x, d)
+        return f"{x // g}/{d // g}"
 
     def golden(self, x: GoldenNumber) -> GoldenNumber:
         """The golden number with rational coefficients that x stands for."""

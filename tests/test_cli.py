@@ -18,6 +18,19 @@ def runner():
     return CliRunner()
 
 
+def assert_output_error(proc, path) -> None:
+    """An output path that cannot be written is a typed error naming it."""
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith(f"Error: {path}: ")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.fixture
+def path_in_missing_dir(tmp_path):
+    """An output path inside a directory that does not exist."""
+    return tmp_path / "missing" / "out.txt"
+
+
 @pytest.fixture
 def w2_file(w2, tmp_path):
     path = tmp_path / "w2.jsonl"
@@ -112,6 +125,10 @@ class TestSimulate:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "gain0 = 11\n"
 
+    def test_unwritable_trace_exits_1(self, w2_file, path_in_missing_dir):
+        proc = run_cli("simulate", "--instance", w2_file, "--trace", str(path_in_missing_dir))
+        assert_output_error(proc, path_in_missing_dir)
+
 
 class TestOpt:
     def test_prints_weight_and_writes_schedule(self, runner, w2, w2_file, tmp_path):
@@ -139,6 +156,10 @@ class TestOpt:
         assert result.exit_code == 0, result.output
         assert result.output == "opt = 11\n"
         assert out.read_text() == f"0,5\n{FAR},2\n{FAR + 1},4\n{FAR + 2},1\nW,11/1\n"
+
+    def test_unwritable_out_exits_1(self, w2_file, path_in_missing_dir):
+        proc = run_cli("opt", "--instance", w2_file, "--out", str(path_in_missing_dir))
+        assert_output_error(proc, path_in_missing_dir)
 
 
 class TestVerify:
@@ -228,6 +249,12 @@ class TestVerify:
         assert result.exit_code == 0
         assert result.output.startswith("ok: 0 events")
 
+    def test_unwritable_ledger_exits_1(self, runner, w2_file, tmp_path, path_in_missing_dir):
+        trace, comparison = self.run_pipeline(runner, w2_file, tmp_path)
+        proc = run_cli("verify", "--instance", w2_file, "--trace", trace,
+                       "--comparison", comparison, "--out", str(path_in_missing_dir))
+        assert_output_error(proc, path_in_missing_dir)
+
 
 class TestGenerate:
     def test_single_file_round_trips(self, runner, tmp_path):
@@ -262,6 +289,13 @@ class TestGenerate:
         )
         assert result.exit_code == 1
         assert "steps" in result.output
+
+    def test_unwritable_out_exits_1(self, tmp_path, path_in_missing_dir):
+        args = ("generate", "--generator", "agreeable", "--steps", "4")
+        assert_output_error(run_cli(*args, "--out", str(path_in_missing_dir)), path_in_missing_dir)
+        taken = tmp_path / "taken.jsonl"
+        taken.write_text("")
+        assert_output_error(run_cli(*args, "--count", "2", "--out", str(taken)), taken)
 
 
 class TestBench:
@@ -302,3 +336,8 @@ class TestBench:
         rows = list(csv.DictReader(result.output.splitlines()))
         assert [row["algorithm"] for row in rows] == ["planm", "planm"]
         assert all(row["runtime"] != "-" for row in rows)
+
+    def test_unwritable_out_exits_1(self, path_in_missing_dir):
+        proc = run_cli("bench", "--generator", "agreeable", "--count", "1", "--steps", "3",
+                       "--out", str(path_in_missing_dir))
+        assert_output_error(proc, path_in_missing_dir)

@@ -8,7 +8,8 @@ so the weights share the common denominator 2310 and the runs take
 simple and iterated leaps.  The four commands run end to end through
 the CLI, and the SHA-256 of everything they write and print is pinned:
 the planm trace, the greedy trace, the optimal schedule, the audit
-ledger and the printed lines.
+ledger and the printed lines.  A phi-adversarial instance pins ledgers
+whose reduced denominators are hundreds of digits long.
 """
 
 import csv
@@ -286,3 +287,26 @@ def test_long_gap_outputs_match_pins(tmp_path):
         rows = [row for row in csv.DictReader(fh) if row["kind"] == "idle"]
     assert len(rows) == GAP + 1
     assert [row["time"] for row in rows if row["case"] == "ADV.2"] == [str(GAP // 2)]
+
+
+PHI_EPOCHS = 60
+
+# digests in PINS order for the phi-adversarial instance of PHI_EPOCHS
+# epochs
+PHI_PINS = (
+    "6c2b0463e18f9a6b58c5938f8df5a45edf538552d221bdbebadef7cf9edaffed",
+    "a354f60729cd571887afcd992b318161ce29e6f721f8f79f6cbfe53d2d375e68",
+    "983601f3b7202b8f0ab8d4859c8826775edefc5a043529425e6967f95226f938",
+    "226db7a0712c263a1fa208e174636aec0deb31541464fc57aa22db3dee645528",
+    "61953d5c5bcfb4a7471493d273daa7f5591bea238762cacc8a3174b49bc59bad",
+)
+
+
+def test_big_denominator_outputs_match_pins(tmp_path):
+    """Weights (987/610)**i: the common denominator has 168 digits, so
+    the ledger's reduced cells carry denominators hundreds of digits
+    long."""
+    instance = generate(GeneratorConfig("phi-adversarial", PHI_EPOCHS))
+    assert len(str(instance.scale.denominator)) > 100
+    digests, _ = pipeline(instance, tmp_path)
+    assert digests == PHI_PINS
