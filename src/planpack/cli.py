@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import errno
 import functools
 import os
 import sys
@@ -117,6 +118,18 @@ def _writing(path: str) -> Iterator[None]:
         raise click.ClickException(f"{path}: {exc.strerror or exc}") from exc
 
 
+def _require_folder(path: str) -> None:
+    """Fail before any work when the folder of an output path is missing.
+
+    It creates nothing; any other fault in opening or writing the file
+    is reported by ``_writing`` when the file is opened.
+    """
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        with _writing(path):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT))
+
+
 def _read_instance(path: str) -> Instance:
     try:
         return load_instance(path)
@@ -202,6 +215,8 @@ def verify(instance_path: str, trace_path: str, comparison_path: str,
     Exits 0 when every per-event check passes, 1 on the first
     violation (the message carries the event index).
     """
+    if out_path is not None:
+        _require_folder(out_path)
     inst = _read_instance(instance_path)
     trace = _read_trace(trace_path)
     comparison = _read_schedule(comparison_path)
@@ -288,6 +303,8 @@ def bench(kind: str, algorithms: tuple[str, ...], count: int, seed: int, steps: 
     Identical flags and seed produce byte-identical CSV unless
     --timings is given.
     """
+    if out_path is not None:
+        _require_folder(out_path)
     kinds = KINDS if kind == "all" else (kind,)
     algs = algorithms or ALGORITHMS
     rows: list[tuple[str, ...]] = []

@@ -8,11 +8,12 @@ tie-broken total order on weights.  This module keeps that subset and
 its derived structure current across the three events that can change
 it (a packet arrives; a packet from the first segment is transmitted; a
 packet from a later segment is transmitted) by applying the constant
-size membership delta each event induces.  The delta is edited into the
-index of non-plan packets in place; only an event that changes a plan
-member or the time then rebuilds the plan side: the slack profile,
-which is just the plan's sorted deadlines, and per-segment extremes
-read off the same order.  Neither costs anything per empty slot,
+size membership delta each event induces.  The delta is edited in place
+into two lists: the plan members in deadline order and the non-plan
+packets in weight order.  An event that changes a plan member or the
+time then rebuilds the plan's derived structure (tight slots, each
+segment's lightest and heaviest member, minwt prefix minima) in one
+walk over the ordered members.  Nothing costs anything per empty slot,
 however long the horizon.
 
 Conceptually the pending set is padded with zero-weight packets, one
@@ -31,6 +32,16 @@ is 0 at tau = t - 1 by convention.  A slot is tight when its pslack is
 0.  Tight slots cut the horizon into segments; the first segment is the
 one that begins at t - 1.
 
+refresh() finds the tight slots with one comparison per member.
+Number the members from 0 in deadline order.  Member j and the j
+members before it must all fit into the slots t .. d(j), so a feasible
+plan has d(j) >= t + j, and a deadline below t + j overfills its slot.
+Between deadlines pslack rises by one per slot, so it can only reach 0
+at a member's deadline, where, counted after the last member with that
+deadline, it is d(j) - t - j.  A member with d(j) = t + j is that last
+member, because a next one with the same deadline would fall below
+t + j + 1.  So member j closes a segment exactly when d(j) = t + j.
+
 Weights are :class:`planpack.golden.TaggedWeight` values with integer
 base values (weights times the instance's common denominator), so
 every ordering decision here is an integer tuple comparison.
@@ -38,7 +49,7 @@ every ordering decision here is an integer tuple comparison.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import attrgetter
@@ -197,6 +208,17 @@ class SlackProfile:
         self.tights = tights
         self.floor = floor
 
+    @classmethod
+    def of_plan(cls, t: int, deadlines: list[int], tights: list[int]) -> "SlackProfile":
+        """The profile of a feasible plan whose sorted deadlines and tight
+        slots are already known."""
+        profile = cls.__new__(cls)
+        profile.t = t
+        profile.deadlines = deadlines
+        profile.tights = tights
+        profile.floor = (0, t - 1)
+        return profile
+
     def pslack(self, tau: int) -> int:
         return (tau - self.t + 1) - bisect_right(self.deadlines, tau)
 
@@ -224,14 +246,19 @@ class PlanState:
       leap inserts ell and drops rho, and a transmission drops the
       non-plan packets whose deadline has passed.  Non-plan weights and
       deadlines never change, so the index never needs a sort;
-    * the plan side (slack profile, tight slots, the lightest and
-      heaviest member of each segment, minwt per segment) is rebuilt
-      by refresh() after every event that changes a member or t.  A
-      rejected arrival does not call it.
+    * the plan members, in deadline order, are edited in place too:
+      an admitted arrival is inserted and its evictee removed, a
+      transmitted packet is removed, and a leap removes ell and inserts
+      rho.  The structure derived from them (slack profile, tight
+      slots, the lightest and heaviest member of each segment, minwt
+      per segment) is rebuilt by refresh() in one pass after every
+      event that changes a member or t.  A rejected arrival does not
+      call it.
 
     Weight or deadline adjustments of plan members made between events
-    must be followed by refresh().  clone() and the constructor build
-    both sides from scratch.
+    must be followed by refresh(), which re-sorts the members first; a
+    sort of an ordered list is one linear pass.  clone() builds both
+    sides from the in_plan flags, the constructor from nothing.
     """
 
     def __init__(self, t: int, sentinel: int, source: TiebreakSource | None = None):
@@ -241,54 +268,62 @@ class PlanState:
         self.sentinel = sentinel
         self.source = source if source is not None else TiebreakSource()
         self.packets: dict[int, PendingPacket] = {}
+        self._members: list[PendingPacket] = []
         self._index_nonplan()
         self.refresh()
 
     # structure rebuild
 
     def refresh(self) -> None:
-        """Rebuild the plan side from the members' current deadlines and weights."""
+        """Rebuild the plan side from the members' current deadlines and weights.
+
+        One walk over the members in deadline order: member j closes a
+        segment exactly when its deadline is t + j, and a deadline below
+        t + j overfills its slot.
+        """
         t, H = self.t, self.sentinel
-        members = [p for p in self.packets.values() if p.in_plan]
+        members = self._members
+        # ordered already, unless a leap has just moved chain deadlines
         members.sort(key=_deadline)
         if members and not (t <= members[0].deadline and members[-1].deadline < H):
-            p = next(p for p in self.packets.values() if p.in_plan and not t <= p.deadline < H)
+            p = next(p for p in members if not t <= p.deadline < H)
             raise PlanError(f"plan packet {p.id} deadline {p.deadline} out of [{t}, {H})")
 
-        profile = SlackProfile([p.deadline for p in members], t, H)
-        slack, slot = profile.floor
-        if slack < 0:
-            raise PlanError(f"plan infeasible at slot {slot}")
-        self._profile = profile
-        self.tights = tights = profile.tights
-
-        # one walk in deadline order meets the segments in order
-        nseg = len(tights) - 1
-        seg_min: list[PendingPacket | None] = [None] * (nseg + 1)
-        seg_max: list[PendingPacket | None] = [None] * (nseg + 1)
-        i = 1
-        for p in members:
-            while p.deadline > tights[i]:
-                i += 1
-            low = seg_min[i]
+        tights = [t - 1]
+        seg_min: list[PendingPacket | None] = [None]
+        seg_max: list[PendingPacket | None] = [None]
+        prefix: list[PendingPacket | None] = [None]
+        low = high = running = None
+        for close, p in enumerate(members, t):
+            w = p.weight
             if low is None:
-                seg_min[i] = seg_max[i] = p
-            elif p.weight < low.weight:
-                seg_min[i] = p
-            elif p.weight > seg_max[i].weight:
-                seg_max[i] = p
+                low, low_w, high, high_w = p, w, p, w
+            elif w < low_w:
+                low, low_w = p, w
+            elif w > high_w:
+                high, high_w = p, w
+            d = p.deadline
+            if d <= close:
+                if d < close:
+                    slot = SlackProfile([q.deadline for q in members], t, H).floor[1]
+                    raise PlanError(f"plan infeasible at slot {slot}")
+                tights.append(d)
+                seg_min.append(low)
+                seg_max.append(high)
+                if running is None or low_w < running_w:
+                    running, running_w = low, low_w
+                prefix.append(running)
+                low = high = None
+        tights.append(H)
+        seg_min.append(low)
+        seg_max.append(high)
+        if low is not None and (running is None or low_w < running_w):
+            running = low
+        prefix.append(running)
+        self._profile = SlackProfile.of_plan(t, [p.deadline for p in members], tights)
+        self.tights = tights
         self._seg_member_min = seg_min
         self._seg_member_max = seg_max
-
-        # prefix minima give minwt per segment; the final segment is the
-        # zero-padded tail
-        running: PendingPacket | None = None
-        prefix: list[PendingPacket | None] = [None] * (nseg + 1)
-        for i in range(1, nseg + 1):
-            own = seg_min[i]
-            if own is not None and (running is None or own.weight < running.weight):
-                running = own
-            prefix[i] = running
         self._seg_prefix_min = prefix
 
     def _index_nonplan(self) -> None:
@@ -315,6 +350,18 @@ class PlanState:
         # the running maxima after i rise to d where they were below it
         j = bisect_left(maxd, d, i + 1)
         maxd[i + 1:j] = [d] * (j - i - 1)
+
+    # the member list; in_plan flags are the callers' to set
+
+    def _insert_member(self, p: PendingPacket) -> None:
+        insort(self._members, p, key=_deadline)
+
+    def _remove_member(self, p: PendingPacket) -> None:
+        members = self._members
+        i = bisect_left(members, p.deadline, key=_deadline)
+        while members[i] is not p:
+            i += 1
+        del members[i]
 
     # slot queries
 
@@ -358,10 +405,11 @@ class PlanState:
     # membership queries
 
     def plan_ids(self) -> set[int]:
-        return {p.id for p in self.packets.values() if p.in_plan}
+        return {p.id for p in self._members}
 
     def plan_members(self) -> list[PendingPacket]:
-        return [p for p in self.packets.values() if p.in_plan]
+        """The plan's members in deadline order."""
+        return list(self._members)
 
     def lightest_initseg(self) -> PendingPacket | None:
         """Lightest plan packet in the first segment; None iff the plan is empty."""
@@ -421,16 +469,17 @@ class PlanState:
         self.packets[pid] = p
         threshold = self.minwt_packet(deadline)
         if threshold is None:
-            p.in_plan = True
             outcome = ArrivalOutcome(True, None)
         elif weight > threshold.weight:
             threshold.in_plan = False
+            self._remove_member(threshold)
             self._nonplan_insert(threshold)
-            p.in_plan = True
             outcome = ArrivalOutcome(True, threshold.id)
         else:
             self._nonplan_insert(p)
             return ArrivalOutcome(False, None)
+        p.in_plan = True
+        self._insert_member(p)
         self.refresh()
         return outcome
 
@@ -439,6 +488,7 @@ class PlanState:
         if not p.in_plan or self._segment_of(p.deadline) != 1:
             raise NotInInitSegError(f"packet {pid} is not a first-segment plan packet")
         del self.packets[pid]
+        self._remove_member(p)
         self._advance_time()
         self.refresh()
 
@@ -457,17 +507,18 @@ class PlanState:
         delta = self.tights[seg - 1]
         gamma = self.nextts(sub.deadline)
         del self.packets[pid]
+        self._remove_member(p)
         ell.in_plan = False
+        self._remove_member(ell)
         self._nonplan_insert(ell)
         if sub.packet is None:
             vid = self.source.sub_zero()
-            rho = PendingPacket(
-                vid, self.t, 0, sub.deadline, TaggedWeight(0, vid), sub.deadline, in_plan=True,
-            )
+            rho = PendingPacket(vid, self.t, 0, sub.deadline, TaggedWeight(0, vid), sub.deadline)
             self.packets[vid] = rho
         else:
             rho = sub.packet
-            rho.in_plan = True
+        rho.in_plan = True
+        self._insert_member(rho)
         self._advance_time(sub.packet)
         if refresh:
             self.refresh()
@@ -512,6 +563,7 @@ class PlanState:
             )
             for pid, p in self.packets.items()
         }
+        dup._members = [p for p in dup.packets.values() if p.in_plan]
         dup._index_nonplan()
         dup.refresh()
         return dup
@@ -520,17 +572,19 @@ class PlanState:
         """A view of this state that stays valid across first-segment
         transmissions.
 
-        It holds its own packet dict and non-plan index but shares the
-        packets themselves and the plan side, which refresh() replaces
-        rather than edits.  A first-segment transmission changes no
-        packet's weight, deadline or membership, so the view keeps
-        answering for the state before it; any other event may not.
+        It holds its own packet dict, member list and non-plan index but
+        shares the packets themselves and the structure derived from the
+        members, which refresh() replaces rather than edits.  A
+        first-segment transmission changes no packet's weight, deadline
+        or membership, so the view keeps answering for the state before
+        it; any other event may not.
         """
         dup = PlanState.__new__(PlanState)
         dup.t = self.t
         dup.sentinel = self.sentinel
         dup.source = self.source.clone()
         dup.packets = dict(self.packets)
+        dup._members = list(self._members)
         dup._nonplan = list(self._nonplan)
         dup._nonplan_maxd = list(self._nonplan_maxd)
         dup._profile = self._profile

@@ -32,7 +32,7 @@ import json
 from fractions import Fraction
 
 from .golden import WeightScale, format_rational, format_tagged, parse_rational, parse_tagged
-from .model import Packet
+from .model import Packet, serialize_packet
 from .schedulers import (
     ArrivalEvent,
     ChainLink,
@@ -59,10 +59,6 @@ class TraceSyntaxError(ValueError):
     def __init__(self, line: int, message: str):
         super().__init__(f"trace line {line}: {message}")
         self.line = line
-
-
-def _packet_json(p: Packet) -> dict:
-    return {"id": p.id, "r": p.release, "d": p.deadline, "w": format_rational(p.weight)}
 
 
 def _leap_json(leap: LeapRecord, scale: WeightScale) -> dict:
@@ -128,7 +124,7 @@ def _cell(obj: dict) -> str:
 def format_event(ev: ArrivalEvent | ScheduleEvent, scale: WeightScale) -> str:
     """The trace line of one event (the first of an idle stretch) in scale's units."""
     if isinstance(ev, ArrivalEvent):
-        return f"A,{ev.t},{_cell(_packet_json(ev.packet))}"
+        return f"A,{ev.t},{serialize_packet(ev.packet)}"
     pid = "-" if ev.p_id is None else str(ev.p_id)
     leap = "-" if ev.leap is None else _cell(_leap_json(ev.leap, scale))
     dw = (

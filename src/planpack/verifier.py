@@ -1238,7 +1238,7 @@ class Verifier:
 
 def _plan_view(state: PlanState) -> dict[int, int]:
     """The plan of state as {packet id: deadline}."""
-    return {p.id: p.deadline for p in state.packets.values() if p.in_plan}
+    return {p.id: p.deadline for p in state.plan_members()}
 
 
 def _deadlines(working: dict[int, tuple[int, int]]) -> dict[int, int]:

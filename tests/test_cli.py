@@ -25,6 +25,13 @@ def assert_output_error(proc, path) -> None:
     assert "Traceback" not in proc.stderr
 
 
+def assert_missing_folder(proc, path) -> None:
+    """A missing output folder is the one error reported, and nothing is created."""
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == f"Error: {path}: No such file or directory\n"
+    assert not path.parent.exists()
+
+
 @pytest.fixture
 def path_in_missing_dir(tmp_path):
     """An output path inside a directory that does not exist."""
@@ -255,6 +262,17 @@ class TestVerify:
                        "--comparison", comparison, "--out", str(path_in_missing_dir))
         assert_output_error(proc, path_in_missing_dir)
 
+    def test_missing_ledger_folder_fails_before_the_audit(
+        self, runner, w2_file, tmp_path, path_in_missing_dir
+    ):
+        trace, comparison = self.run_pipeline(runner, w2_file, tmp_path)
+        tampered = tmp_path / "tampered.trace"
+        with open(trace) as fh:
+            tampered.write_text(fh.read().replace("S,1,3", "S,1,1"))
+        proc = run_cli("verify", "--instance", w2_file, "--trace", str(tampered),
+                       "--comparison", comparison, "--out", str(path_in_missing_dir))
+        assert_missing_folder(proc, path_in_missing_dir)
+
 
 class TestGenerate:
     def test_single_file_round_trips(self, runner, tmp_path):
@@ -341,3 +359,9 @@ class TestBench:
         proc = run_cli("bench", "--generator", "agreeable", "--count", "1", "--steps", "3",
                        "--out", str(path_in_missing_dir))
         assert_output_error(proc, path_in_missing_dir)
+
+    def test_missing_out_folder_fails_before_any_row(self, path_in_missing_dir):
+        # without the early check, the bad --steps would be reported first
+        proc = run_cli("bench", "--generator", "agreeable", "--count", "1", "--steps", "-1",
+                       "--out", str(path_in_missing_dir))
+        assert_missing_folder(proc, path_in_missing_dir)

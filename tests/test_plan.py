@@ -25,6 +25,7 @@ from planpack.plan import (
     OutOfRangeError,
     PlanError,
     PlanState,
+    SlackProfile,
     compute_plan,
 )
 
@@ -391,7 +392,7 @@ def test_overfull_plan_names_the_slot(fig1):
     state = state_from(fig1, t=1)
     state.packets[8].in_plan = True                # x joins a full first segment
     with pytest.raises(PlanError, match="plan infeasible at slot 3"):
-        state.refresh()
+        state.clone()                              # rebuilds from the flags
 
 
 def test_empty_state():
@@ -486,12 +487,26 @@ def answers(state: PlanState) -> dict:
     }
 
 
+def check_member_list(state: PlanState) -> None:
+    """The ordered member list holds exactly the flagged packets, by
+    identity and in deadline order, and its tight slots are those of
+    the general slack profile over the members' deadlines."""
+    members = state._members
+    flagged = [p for p in state.packets.values() if p.in_plan]
+    assert len(members) == len(flagged)
+    assert {id(p) for p in members} == {id(p) for p in flagged}
+    deadlines = [p.deadline for p in members]
+    assert deadlines == sorted(deadlines)
+    assert state.tights == SlackProfile(deadlines, state.t, state.sentinel).tights
+
+
 def replay(ops, sentinel: int = 24) -> Counter:
     """Apply ops to a fresh state, checking after every event that the
     incrementally kept structure answers as a clone does, and that a
     snapshot taken before a first-segment transmission still answers
-    for the state before it.  Returns how often each kind of event
-    occurred.
+    for the state before it.  The ordered member list is checked against
+    the in_plan flags, and neither the clone nor the snapshot may share
+    it.  Returns how often each kind of event occurred.
 
     Each op is (kind, a, b): an arrival with deadline t + a and base
     value b % 4 (so zero weights and equal base values are common), or
@@ -537,6 +552,10 @@ def replay(ops, sentinel: int = 24) -> Counter:
         if sent is not None:
             seen["expired"] += len(pending - set(state.packets) - {sent})
         assert all(p.deadline >= state.t for p in state.packets.values())
+        check_member_list(state)
+        check_member_list(before)
+        assert before._members is not state._members
+        assert snap._members is not state._members
         assert answers(state) == answers(state.clone())
     return seen
 
