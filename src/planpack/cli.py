@@ -176,6 +176,8 @@ def main() -> None:
 def simulate(instance_path: str, algorithm: str, trace_path: str | None,
              check_monotonicity: bool) -> None:
     """Run a scheduler over an instance and print its on-time gain."""
+    if trace_path is not None:
+        _require_folder(trace_path)
     inst = _read_instance(instance_path)
     try:
         result, trace = run(algorithm, inst, check_monotonicity=check_monotonicity)
@@ -193,6 +195,8 @@ def simulate(instance_path: str, algorithm: str, trace_path: str | None,
               help="Write the schedule (slot,packet lines plus weight footer).")
 def opt(instance_path: str, out_path: str | None) -> None:
     """Compute an exact maximum-weight offline schedule."""
+    if out_path is not None:
+        _require_folder(out_path)
     inst = _read_instance(instance_path)
     schedule = optimal_schedule(inst)
     if out_path is not None:

@@ -53,7 +53,7 @@ from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import attrgetter
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .golden import TaggedWeight, TiebreakSource
 
@@ -118,6 +118,16 @@ class PendingPacket:
     @property
     def is_virtual(self) -> bool:
         return self.id < 0
+
+
+def _changed(
+    p: PendingPacket, weight: TaggedWeight, deadline: int, in_plan: bool
+) -> PendingPacket:
+    """p with new current values.  The engine builds a new packet rather
+    than edit p, which a snapshot may still hold."""
+    return PendingPacket(
+        p.id, p.release, p.original_weight, p.original_deadline, weight, deadline, in_plan
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -255,10 +265,15 @@ class PlanState:
       event that changes a member or t.  A rejected arrival does not
       call it.
 
-    Weight or deadline adjustments of plan members made between events
-    must be followed by refresh(), which re-sorts the members first; a
-    sort of an ordered list is one linear pass.  clone() builds both
-    sides from the in_plan flags, the constructor from nothing.
+    No event edits a packet.  A packet whose weight, deadline or
+    membership changes (an evictee, a leap's ell and rho, the members a
+    leap's chain moves) is replaced by a new PendingPacket in packets,
+    in the member list and in the non-plan index, so a snapshot() keeps
+    answering for the state it was taken from across every event.  A
+    leap's chain edits go through adjust_members(), which ends with
+    refresh(); that re-sorts the members first, and a sort of an ordered
+    list is one linear pass.  clone() builds both sides from the in_plan
+    flags, the constructor from nothing.
     """
 
     def __init__(self, t: int, sentinel: int, source: TiebreakSource | None = None):
@@ -356,12 +371,23 @@ class PlanState:
     def _insert_member(self, p: PendingPacket) -> None:
         insort(self._members, p, key=_deadline)
 
-    def _remove_member(self, p: PendingPacket) -> None:
+    def _member_index(self, p: PendingPacket) -> int:
         members = self._members
         i = bisect_left(members, p.deadline, key=_deadline)
         while members[i] is not p:
             i += 1
-        del members[i]
+        return i
+
+    def _remove_member(self, p: PendingPacket) -> None:
+        del self._members[self._member_index(p)]
+
+    def _leave_plan(self, p: PendingPacket) -> None:
+        """Move member p out of the plan: a copy flagged out of it takes
+        p's place in packets and joins the non-plan index."""
+        self._remove_member(p)
+        out = _changed(p, p.weight, p.deadline, False)
+        self.packets[p.id] = out
+        self._nonplan_insert(out)
 
     # slot queries
 
@@ -411,9 +437,20 @@ class PlanState:
         """The plan's members in deadline order."""
         return list(self._members)
 
+    def iter_members(self) -> Iterator[PendingPacket]:
+        """The plan's members in deadline order, read from the live list
+        without a copy; the plan must not change during the iteration."""
+        return iter(self._members)
+
     def lightest_initseg(self) -> PendingPacket | None:
         """Lightest plan packet in the first segment; None iff the plan is empty."""
         return self._seg_member_min[1]
+
+    def heaviest_member(self) -> PendingPacket | None:
+        """Heaviest plan packet, the heaviest of the segment maxima; None
+        iff the plan is empty.  It is also the heaviest pending packet,
+        since that one alone always fits."""
+        return max(filter(None, self._seg_member_max), key=_weight, default=None)
 
     def heaviest_in_window(self, lo: int, hi: int) -> PendingPacket | None:
         """Heaviest plan packet with deadline in (lo, hi], both tight slots."""
@@ -465,23 +502,18 @@ class PlanState:
             raise PlanError(f"packet id {pid} already pending")
         if not self.t <= deadline < self.sentinel:
             raise PlanError(f"arrival deadline {deadline} outside [{self.t}, {self.sentinel})")
-        p = PendingPacket(pid, release, weight.value, deadline, weight, deadline)
-        self.packets[pid] = p
         threshold = self.minwt_packet(deadline)
-        if threshold is None:
-            outcome = ArrivalOutcome(True, None)
-        elif weight > threshold.weight:
-            threshold.in_plan = False
-            self._remove_member(threshold)
-            self._nonplan_insert(threshold)
-            outcome = ArrivalOutcome(True, threshold.id)
-        else:
+        admitted = threshold is None or weight > threshold.weight
+        p = PendingPacket(pid, release, weight.value, deadline, weight, deadline, admitted)
+        self.packets[pid] = p
+        if not admitted:
             self._nonplan_insert(p)
             return ArrivalOutcome(False, None)
-        p.in_plan = True
+        if threshold is not None:
+            self._leave_plan(threshold)
         self._insert_member(p)
         self.refresh()
-        return outcome
+        return ArrivalOutcome(True, None if threshold is None else threshold.id)
 
     def apply_schedule_initseg(self, pid: int) -> None:
         p = self.packets[pid]
@@ -508,21 +540,32 @@ class PlanState:
         gamma = self.nextts(sub.deadline)
         del self.packets[pid]
         self._remove_member(p)
-        ell.in_plan = False
-        self._remove_member(ell)
-        self._nonplan_insert(ell)
-        if sub.packet is None:
+        self._leave_plan(ell)
+        joined = sub.packet
+        if joined is None:
             vid = self.source.sub_zero()
-            rho = PendingPacket(vid, self.t, 0, sub.deadline, TaggedWeight(0, vid), sub.deadline)
-            self.packets[vid] = rho
+            rho = PendingPacket(
+                vid, self.t, 0, sub.deadline, TaggedWeight(0, vid), sub.deadline, True
+            )
         else:
-            rho = sub.packet
-        rho.in_plan = True
+            rho = _changed(joined, joined.weight, joined.deadline, True)
+        self.packets[rho.id] = rho
         self._insert_member(rho)
-        self._advance_time(sub.packet)
+        self._advance_time(joined)
         if refresh:
             self.refresh()
         return LeapInfo(pid, rho.id, ell.id, delta, gamma, sub.packet is None)
+
+    def adjust_members(self, changes: list[tuple[int, int, TaggedWeight]]) -> None:
+        """Give plan members new deadlines and weights, as a leap's chain
+        does, then refresh.  changes holds (id, deadline, weight) triples
+        of distinct members; each member named is replaced by a new
+        packet, in packets and at its place in the member list."""
+        members = self._members
+        places = [self._member_index(self.packets[pid]) for pid, _, _ in changes]
+        for i, (pid, deadline, weight) in zip(places, changes):
+            members[i] = self.packets[pid] = _changed(members[i], weight, deadline, True)
+        self.refresh()
 
     def advance_idle(self, slots: int) -> None:
         """Move past `slots` slots in which nothing is pending, at most up
@@ -569,15 +612,13 @@ class PlanState:
         return dup
 
     def snapshot(self) -> "PlanState":
-        """A view of this state that stays valid across first-segment
-        transmissions.
+        """A view of this state that stays valid across every later event.
 
         It holds its own packet dict, member list and non-plan index but
         shares the packets themselves and the structure derived from the
-        members, which refresh() replaces rather than edits.  A
-        first-segment transmission changes no packet's weight, deadline
-        or membership, so the view keeps answering for the state before
-        it; any other event may not.
+        members.  Neither is edited afterwards: refresh() replaces the
+        structure, and an event replaces a packet it changes, so the
+        view keeps answering for the state it was taken from.
         """
         dup = PlanState.__new__(PlanState)
         dup.t = self.t

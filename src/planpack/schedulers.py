@@ -128,14 +128,6 @@ class SchedulerResult:
     gain_current: Rational
 
 
-def _heaviest_pending(state: PlanState) -> PendingPacket | None:
-    best = None
-    for p in state.packets.values():
-        if best is None or p.weight > best.weight:
-            best = p
-    return best
-
-
 def _objective(top: PendingPacket, sub: SubstituteResult) -> GoldenNumber:
     return golden(top.weight.value, sub.weight.value)
 
@@ -164,7 +156,7 @@ def planm_step(state: PlanState) -> tuple[PendingPacket, ScheduleEvent]:
     assert choice is not None, "planm_step on an empty plan"
     _, p, sub, seg = choice
 
-    heavy = _heaviest_pending(state)
+    heavy = state.heaviest_member()
     assert (PHI2 * p.weight.value - heavy.weight.value).sign() >= 0, (
         f"scheduled weight below heaviest/phi^2 at t={t}"
     )
@@ -200,32 +192,31 @@ def planm_step(state: PlanState) -> tuple[PendingPacket, ScheduleEvent]:
     if info.rho_was_virtual:
         expected.add(info.rho_id)
 
-    dweights: dict[int, TaggedWeight] = {}
+    # rho and the chain packets h as they are before the leap's weight and
+    # deadline changes: adjust_members replaces them rather than edit them
     rho = state.packets[info.rho_id]
-    rho_old = rho.weight
-    rho.weight = TaggedWeight(mu_rho.value, state.source.fresh())
-    assert rho.weight > rho_old
-    dweights[rho.id] = rho.weight
+    rho_new = TaggedWeight(mu_rho.value, state.source.fresh())
+    assert rho_new > rho.weight
+    dweights = {rho.id: rho_new}
+    changes = [(rho.id, rho.deadline, rho_new)]
 
     links = []
     prev_weight = p.weight
     for h, tau_i, new_d, floor, mu_i in raw_chain:
-        assert prev_weight > h.weight > rho_old
-        prev_weight = h.weight
-        old_w, old_d = h.weight, h.deadline
-        h.deadline = new_d
+        assert prev_weight > h.weight > rho.weight
+        prev_weight = new_w = h.weight
         if floor > h.weight:
-            h.weight = TaggedWeight(floor.value, state.source.fresh())
-            dweights[h.id] = h.weight
-        links.append(ChainLink(h.id, tau_i, old_d, new_d, old_w, h.weight, mu_i))
-    state.refresh()
+            new_w = dweights[h.id] = TaggedWeight(floor.value, state.source.fresh())
+        changes.append((h.id, new_d, new_w))
+        links.append(ChainLink(h.id, tau_i, h.deadline, new_d, h.weight, new_w, mu_i))
+    state.adjust_members(changes)
     assert state.plan_ids() == expected
 
     leap = LeapRecord(
         p_id=p.id, rho_id=info.rho_id, ell_id=info.ell_id,
         delta=delta, gamma=gamma, tau0=tau0,
         rho_was_virtual=info.rho_was_virtual, rho_deadline=rho.deadline,
-        rho_old_weight=rho_old, rho_new_weight=rho.weight,
+        rho_old_weight=rho.weight, rho_new_weight=rho_new,
         chain=tuple(links),
     )
     return p, ScheduleEvent(t, p.id, leap.kind, leap, dweights)
@@ -233,9 +224,8 @@ def planm_step(state: PlanState) -> tuple[PendingPacket, ScheduleEvent]:
 
 def greedy_step(state: PlanState) -> tuple[PendingPacket, ScheduleEvent]:
     t = state.t
-    p = _heaviest_pending(state)
+    p = state.heaviest_member()
     assert p is not None, "greedy_step with nothing pending"
-    assert p.in_plan, "heaviest pending packet must be a plan member"
     if p.deadline <= state.tights[1]:
         state.apply_schedule_initseg(p.id)
     else:

@@ -42,10 +42,12 @@ the summary totals and error messages are converted to rationals.
 
 from __future__ import annotations
 
+from bisect import insort
 from collections.abc import Container
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from operator import attrgetter
 from typing import NamedTuple, NoReturn
 
 from .golden import (
@@ -86,6 +88,8 @@ __all__ = [
     "Verifier",
     "verify_trace",
 ]
+
+_deadline = attrgetter("deadline")
 
 
 class VerifierError(ValueError):
@@ -402,17 +406,6 @@ class Verifier:
     def _pool_profile(self, pool: list[tuple[int, int]], t: int) -> SlackProfile:
         return SlackProfile([d for _, d in pool], t, self._state.sentinel)
 
-    def _check_pool_floor(
-        self, pool: list[tuple[int, int]], t: int, case: str | None = None
-    ) -> None:
-        slack, slot = self._pool_profile(pool, t).floor
-        if slack < 0:
-            self._fail(
-                InvariantViolation,
-                f"backup pool overfills slot {slot} by {-slack}",
-                case=case,
-            )
-
     def _first_furlough(
         self, packets: dict[int, PendingPacket], lo: int, hi: int
     ) -> int | None:
@@ -467,29 +460,35 @@ class Verifier:
         return self._earliest_furlough(reference, eta, eta_prime, case)
 
     # ------------------------------------------------------------------
-    # invariant scans
+    # invariant checks
 
-    def _scan_timetable(self) -> None:
+    def _post_event_checks(self) -> None:
+        """Re-check the structural invariants after an event.
+
+        One walk over the timetable in slot order checks that each entry
+        is at a usable slot, that a live entry's packet is a plan member
+        that can still reach it and holds no other slot, and that a
+        placeholder does not outweigh the plan threshold; it collects the
+        claimed packets.  One pass over the backup pool then gives the
+        pool's slack floor, which must not be negative, and its weight,
+        which must match the running potential.
+        """
         state = self._state
+        t, horizon, packets = state.t, self.instance.horizon, state.packets
+        claimed: set[int] = set()
         for slot, entry in sorted(self._timetable.items()):
-            if slot < state.t or slot > self.instance.horizon:
-                self._fail(
-                    InvariantViolation,
-                    f"timetable entry at unusable slot {slot}",
-                )
+            if slot < t or slot > horizon:
+                self._fail(InvariantViolation, f"timetable entry at unusable slot {slot}")
             if isinstance(entry, RealEntry):
                 pid = entry.packet_id
-                pkt = state.packets.get(pid)
+                pkt = packets.get(pid)
                 if pkt is None or not pkt.in_plan:
-                    self._fail(
-                        InvariantViolation,
-                        f"timetable packet {pid} is not a plan member",
-                    )
+                    self._fail(InvariantViolation, f"timetable packet {pid} is not a plan member")
                 if pkt.deadline < slot:
-                    self._fail(
-                        InvariantViolation,
-                        f"packet {pid} can no longer reach slot {slot}",
-                    )
+                    self._fail(InvariantViolation, f"packet {pid} can no longer reach slot {slot}")
+                if pid in claimed:
+                    self._fail(InvariantViolation, f"packet {pid} holds two timetable slots")
+                claimed.add(pid)
             else:
                 limit = state.minwt(slot).value
                 if entry.weight > limit:
@@ -499,25 +498,10 @@ class Verifier:
                         lhs=GoldenNumber(entry.weight, 0),
                         rhs=GoldenNumber(limit, 0),
                     )
-
-    def _scan_backup(self) -> list[tuple[int, int]]:
-        """Check the live backup pool and return it."""
-        state = self._state
-        plan = _plan_view(state)
-        claimed = self._real_entries()
-        pool = self._backup_pool(state.packets, plan, claimed)
-        for fid in self._furloughed:
-            if fid in plan:
-                self._fail(InvariantViolation, f"furloughed packet {fid} is in the plan")
-        for pid in claimed:
-            if pid not in plan:
-                self._fail(InvariantViolation, f"claimed packet {pid} left the plan")
-        self._check_pool_floor(pool, state.t)
-        return pool
-
-    def _check_potential(self, pool: list[tuple[int, int]]) -> None:
-        packets = self._state.packets
-        scratch = PHI_INV * sum(packets[pid].weight.value for pid, _ in pool)
+        slack, slot, weight = self._pool_floor(claimed)
+        if slack < 0:
+            self._fail(InvariantViolation, f"backup pool overfills slot {slot} by {-slack}")
+        scratch = PHI_INV * weight
         if golden_sign(self._potential - scratch) != 0:
             self._fail(
                 InvariantViolation,
@@ -526,9 +510,36 @@ class Verifier:
                 rhs=scratch,
             )
 
-    def _post_event_checks(self) -> None:
-        self._scan_timetable()
-        self._check_potential(self._scan_backup())
+    def _pool_floor(self, claimed: Container[int]) -> tuple[int, int, int]:
+        """The live backup pool's slack floor, the slot reaching it, and
+        the pool's weight.
+
+        The plan members outside claimed come in deadline order from the
+        engine's member list; each furlough, checked to be pending and
+        outside the plan, is inserted by deadline.  One pass over that
+        pool gives the floor of `SlackProfile` over its deadlines (the
+        minimum of 0 and every pslack in [t, sentinel], at the first slot
+        reaching it; t - 1 if none is negative), with no sort.  Every
+        pending deadline is in [t, sentinel).
+        """
+        state = self._state
+        packets = state.packets
+        pool = [p for p in state.iter_members() if p.id not in claimed]
+        for fid in self._furloughed:
+            pkt = packets.get(fid)
+            if pkt is None:
+                self._fail(InvariantViolation, f"furloughed packet {fid} not pending")
+            if pkt.in_plan:
+                self._fail(InvariantViolation, f"furloughed packet {fid} is in the plan")
+            insort(pool, pkt, key=_deadline)
+        # the pool's j-th packet by deadline leaves pslack(d) = d - (t + j)
+        # once the packets sharing its deadline are counted
+        floor, floor_slot, weight = 0, state.t - 1, 0
+        for j, p in enumerate(pool, state.t):
+            if p.deadline - j < floor:
+                floor, floor_slot = p.deadline - j, p.deadline
+            weight += p.weight.value
+        return floor, floor_slot, weight
 
     # ------------------------------------------------------------------
     # reporting
@@ -748,16 +759,16 @@ class Verifier:
         """Replay a transmission of one of kinds on the mirror; returns the
         state before it, the packet sent and the mirror's (= recorded) event.
 
-        An ordinary step keeps the state before it as a snapshot, which a
-        first-segment transmission leaves intact; a leap edits weights and
-        deadlines in place, so its state before is a full clone."""
+        The state before is a snapshot.  The engine replaces every packet
+        an event changes rather than editing it, so the snapshot stays
+        intact across an ordinary step and a leap alike."""
         self._begin_turn(event)
         state = self._state
         if event.kind not in kinds:
             self._fail(TraceMismatch, f"{self._describe(event)} is not {' or '.join(kinds)}")
         if not state.packets:
             self._fail(TraceMismatch, f"trace has {self._describe(event)} at an idle slot")
-        pre = state.snapshot() if event.kind == "ordinary" else state.clone()
+        pre = state.snapshot()
         scheduled, mirror = planm_step(state)
         self._compare(event, mirror)
         return pre, scheduled, mirror
@@ -1166,7 +1177,13 @@ class Verifier:
         del working[window.stops[a].id]
         working.update((stop.id, stop.new) for stop in window.stops[a + 1 : b + 2])
         pool = self._backup_pool(window.pre.packets, _deadlines(working), self._real_entries())
-        self._check_pool_floor(pool, window.pre.t + 1, window.case)
+        slack, slot = self._pool_profile(pool, window.pre.t + 1).floor
+        if slack < 0:
+            self._fail(
+                InvariantViolation,
+                f"backup pool overfills slot {slot} by {-slack}",
+                case=window.case,
+            )
 
     # ------------------------------------------------------------------
 

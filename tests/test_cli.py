@@ -39,6 +39,14 @@ def path_in_missing_dir(tmp_path):
 
 
 @pytest.fixture
+def bad_instance(tmp_path):
+    """An instance file that fails to parse: reading it would be reported first."""
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"id": 1, "r": 0}\n')
+    return str(path)
+
+
+@pytest.fixture
 def w2_file(w2, tmp_path):
     path = tmp_path / "w2.jsonl"
     save_instance(w2, str(path))
@@ -136,6 +144,10 @@ class TestSimulate:
         proc = run_cli("simulate", "--instance", w2_file, "--trace", str(path_in_missing_dir))
         assert_output_error(proc, path_in_missing_dir)
 
+    def test_missing_trace_folder_fails_before_the_run(self, bad_instance, path_in_missing_dir):
+        proc = run_cli("simulate", "--instance", bad_instance, "--trace", str(path_in_missing_dir))
+        assert_missing_folder(proc, path_in_missing_dir)
+
 
 class TestOpt:
     def test_prints_weight_and_writes_schedule(self, runner, w2, w2_file, tmp_path):
@@ -167,6 +179,10 @@ class TestOpt:
     def test_unwritable_out_exits_1(self, w2_file, path_in_missing_dir):
         proc = run_cli("opt", "--instance", w2_file, "--out", str(path_in_missing_dir))
         assert_output_error(proc, path_in_missing_dir)
+
+    def test_missing_out_folder_fails_before_the_search(self, bad_instance, path_in_missing_dir):
+        proc = run_cli("opt", "--instance", bad_instance, "--out", str(path_in_missing_dir))
+        assert_missing_folder(proc, path_in_missing_dir)
 
 
 class TestVerify:

@@ -503,10 +503,13 @@ def check_member_list(state: PlanState) -> None:
 def replay(ops, sentinel: int = 24) -> Counter:
     """Apply ops to a fresh state, checking after every event that the
     incrementally kept structure answers as a clone does, and that a
-    snapshot taken before a first-segment transmission still answers
-    for the state before it.  The ordered member list is checked against
-    the in_plan flags, and neither the clone nor the snapshot may share
-    it.  Returns how often each kind of event occurred.
+    snapshot taken before the event, of any kind, still answers for the
+    state before it: the clone taken then answers alike, and no packet
+    the snapshot holds has a changed weight, deadline or flag.  The
+    ordered member list is checked against the in_plan flags, neither
+    the clone nor the snapshot may share it, and the heaviest pending
+    packet is the plan's heaviest member, the heaviest segment maximum.
+    Returns how often each kind of event occurred.
 
     Each op is (kind, a, b): an arrival with deadline t + a and base
     value b % 4 (so zero weights and equal base values are common), or
@@ -521,6 +524,7 @@ def replay(ops, sentinel: int = 24) -> Counter:
             break
         before = state.clone()
         snap = state.snapshot()
+        held = [(p, p.weight, p.deadline, p.in_plan) for p in snap.packets.values()]
         members = sorted(state.plan_members(), key=lambda p: (p.deadline, p.id))
         first = [p for p in members if p.deadline <= state.tights[1]]
         later = [p for p in members if p.deadline > state.tights[1]]
@@ -535,7 +539,6 @@ def replay(ops, sentinel: int = 24) -> Counter:
             sent = first[a % len(first)].id
             state.apply_schedule_initseg(sent)
             seen["initseg"] += 1
-            assert answers(snap) == answers(before)
         elif kind == "later" and later:
             sent = later[a % len(later)].id
             info = state.apply_schedule_later(sent)
@@ -544,9 +547,7 @@ def replay(ops, sentinel: int = 24) -> Counter:
             _, event = planm_step(state)
             sent = event.p_id
             seen[event.kind] += 1
-            if event.leap is None:
-                assert answers(snap) == answers(before)
-            else:
+            if event.leap is not None:
                 seen["virtual"] += event.leap.rho_was_virtual
                 seen["chain bump"] += len(event.dweights) - 1
         if sent is not None:
@@ -557,6 +558,11 @@ def replay(ops, sentinel: int = 24) -> Counter:
         assert before._members is not state._members
         assert snap._members is not state._members
         assert answers(state) == answers(state.clone())
+        assert answers(snap) == answers(before)
+        assert all((p.weight, p.deadline, p.in_plan) == (w, d, f) for p, w, d, f in held)
+        assert state.heaviest_member() is max(
+            state.packets.values(), key=lambda p: p.weight, default=None
+        )
     return seen
 
 

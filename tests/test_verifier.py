@@ -18,6 +18,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from conftest import FAR, mk
+from planpack.generators import GeneratorConfig, generate
 from planpack.golden import PHI, ZERO, TaggedWeight, golden
 from planpack.model import Packet, validate
 from planpack.offline import Schedule, optimal_schedule
@@ -393,6 +394,64 @@ def test_fractional_weights_sweep():
             assert summary.bound_margin == PHI * trace.gain0 - comparison.weight0
 
 
+# the post-event pool walk against the pool rebuilt as a list
+
+
+def rebuilt_pool(verifier: Verifier) -> tuple[int, int, int]:
+    """The live backup pool listed as before the one-pass walk: every
+    furlough, then every plan member no timetable entry claims, handed
+    to SlackProfile.  Returns its floor, the floor's slot and its weight."""
+    state = verifier._state
+    claimed = {e.packet_id for e in verifier._timetable.values() if isinstance(e, RealEntry)}
+    pool = [state.packets[fid] for fid in verifier._furloughed]
+    pool += [p for p in state.plan_members() if p.id not in claimed]
+    slack, slot = SlackProfile([p.deadline for p in pool], state.t, state.sentinel).floor
+    return slack, slot, sum(p.weight.value for p in pool)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_pool_walk_matches_the_rebuilt_pool(seed, monkeypatch):
+    """After every event of a seeded sample of audits, the walk's floor,
+    floor slot and weight are the rebuilt pool's.  In half of the audits
+    each event also gets a few pending non-plan packets furloughed for
+    the comparison alone, which often overfills the pool."""
+    rng = random.Random(8100 + seed)
+    seen: Counter = Counter()
+    inject = False
+    post_event_checks = Verifier._post_event_checks
+
+    def checked(verifier):
+        post_event_checks(verifier)
+        assert verifier._pool_floor(verifier._real_entries()) == rebuilt_pool(verifier)
+        seen["furloughs"] += bool(verifier._furloughed)
+        spare = [
+            pid for pid, p in verifier._state.packets.items()
+            if not p.in_plan and pid not in verifier._furloughed
+        ]
+        if inject and spare:
+            extra = rng.sample(spare, rng.randint(1, len(spare)))
+            verifier._furloughed.update(extra)
+            walk = verifier._pool_floor(verifier._real_entries())
+            assert walk == rebuilt_pool(verifier)
+            verifier._furloughed.difference_update(extra)
+            seen["injected"] += 1
+            seen["overfull"] += walk[0] < 0
+
+    monkeypatch.setattr(Verifier, "_post_event_checks", checked)
+    for n in range(30):
+        inject = n % 2 == 1
+        if n % 3:
+            inst = small_instance(rng)
+        else:
+            inst = generate(GeneratorConfig(
+                "s-bounded", 12, seed=100 * seed + n, packets_per_step=3, weight_max=20, span=4
+            ))
+        _, trace = run("planm", inst)
+        for comparison in (optimal_schedule(inst), random_feasible_schedule(inst, rng)):
+            verify_trace(inst, trace, comparison)
+    assert min(seen["furloughs"], seen["injected"], seen["overfull"]) > 0, seen
+
+
 # the shared slack profile against a brute-force recount
 
 SENTINEL = 13
@@ -517,7 +576,39 @@ class TestRejection:
         assert 3 not in verifier._state.plan_ids()
         verifier._furloughed.add(3)
         with pytest.raises(InvariantViolation, match="overfills slot 1 by 1"):
-            verifier._scan_backup()
+            verifier._post_event_checks()
+
+    @pytest.fixture
+    def one_claim(self):
+        """A verifier after the arrivals of an instance whose one claimed
+        packet, 1, could still reach slot 2."""
+        inst = validate([mk(1, 0, 3, 5), mk(2, 0, 3, 1)])
+        verifier = Verifier(inst, Schedule(assignment={0: 1}, weight0=Fraction(5)))
+        for packet in inst.packets:
+            verifier.on_arrival(ArrivalEvent(packet.release, packet))
+        assert verifier._timetable == {0: RealEntry(1)}
+        return verifier
+
+    def test_furlough_not_pending(self, one_claim):
+        one_claim._furloughed.add(9)
+        with pytest.raises(InvariantViolation, match="furloughed packet 9 not pending"):
+            one_claim._post_event_checks()
+
+    def test_furlough_in_the_plan(self, one_claim):
+        assert 2 in one_claim._state.plan_ids()
+        one_claim._furloughed.add(2)
+        with pytest.raises(InvariantViolation, match="furloughed packet 2 is in the plan"):
+            one_claim._post_event_checks()
+
+    def test_packet_holding_two_slots(self, one_claim):
+        one_claim._timetable[2] = RealEntry(1)
+        with pytest.raises(InvariantViolation, match="packet 1 holds two timetable slots"):
+            one_claim._post_event_checks()
+
+    def test_drifted_potential(self, one_claim):
+        one_claim._potential += golden(0, 1)
+        with pytest.raises(InvariantViolation, match="running potential drifted"):
+            one_claim._post_event_checks()
 
     def test_arrival_at_wrong_time(self, w2):
         verifier = Verifier(w2, optimal_schedule(w2))
@@ -627,17 +718,18 @@ def test_mutation_battery_is_always_detected():
 # work counts
 
 
-def test_audit_clones_the_plan_for_leaps_only(fig1, plan_calls):
-    """An ordinary step changes no weight or deadline, so the audit keeps
-    the state before it as a snapshot; only a leap needs a full clone."""
+def test_audit_snapshots_the_plan_and_never_clones(fig1, plan_calls):
+    """The engine replaces every packet an event changes, so the audit
+    keeps the state before an ordinary step and a leap alike as a
+    snapshot and never builds a full clone."""
     _, trace = run("planm", fig1)
     kinds = Counter(getattr(ev, "kind", "arrival") for ev in trace.events)
     assert kinds == {"arrival": 8, "ordinary": 5, "simple-leap": 3}
     plan_calls.clear()
     verify_trace(fig1, trace, optimal_schedule(fig1))
     # one refresh for the empty start, one per arrival (all admitted at
-    # t = 0), one per ordinary step, and two per leap (clone, step)
-    assert plan_calls == {"clone": 3, "snapshot": 5, "refresh": 1 + 8 + 5 + 2 * 3}
+    # t = 0), one per ordinary step and one per leap
+    assert plan_calls == Counter({"clone": 0, "snapshot": 8, "refresh": 1 + 8 + 5 + 3})
 
 
 # report surfaces
