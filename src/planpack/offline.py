@@ -67,9 +67,6 @@ class Schedule:
     assignment: dict[int, int] = field(default_factory=dict)
     weight0: Fraction = Fraction(0)
 
-    def packet_ids(self) -> set[int]:
-        return set(self.assignment.values())
-
     def check_feasible(self, instance: Instance) -> None:
         """Raise ValueError unless every entry respects its packet's window."""
         by_id = instance.by_id()

@@ -26,11 +26,14 @@ zero-weight packet is materialized, with a fresh sub-zero rank for its
 tiebreak and the first slot of the relevant segment for its deadline,
 only when a transmission actually swaps one into the plan.
 
-Slot conventions, with t the current time: pslack(tau) counts the free
-slots in [t, tau] once plan packets with deadlines there are placed; it
-is 0 at tau = t - 1 by convention.  A slot is tight when its pslack is
-0.  Tight slots cut the horizon into segments; the first segment is the
-one that begins at t - 1.
+Slot conventions, with t the current time: pslack(tau), the slack of
+slot tau, counts the free slots in [t, tau] once plan packets with
+deadlines there are placed; it is 0 at tau = t - 1 by convention.  A
+slot is tight when its pslack is 0.  Tight slots cut the horizon into
+segments; the first segment is the one that begins at t - 1.  The
+engine keeps the tight slots only, not pslack itself; `SlackProfile`
+gives the tight slots and the slack floor of any multiset of
+deadlines, such as the verifier's backup pools.
 
 refresh() finds the tight slots with one comparison per member.
 Number the members from 0 in deadline order.  Member j and the j
@@ -115,10 +118,6 @@ class PendingPacket:
     deadline: int
     in_plan: bool = False
 
-    @property
-    def is_virtual(self) -> bool:
-        return self.id < 0
-
 
 def _changed(
     p: PendingPacket, weight: TaggedWeight, deadline: int, in_plan: bool
@@ -142,10 +141,6 @@ class SubstituteResult:
     packet: PendingPacket | None
     deadline: int
     weight: TaggedWeight
-
-    @property
-    def is_virtual(self) -> bool:
-        return self.packet is None
 
 
 @dataclass(frozen=True, slots=True)
@@ -172,14 +167,27 @@ class LeapInfo:
     rho_was_virtual: bool
 
 
+def _nextts(tights: list[int], tau: int) -> int:
+    """First tight slot at or after tau other than tights[0]; the last
+    one, the sentinel, past them all."""
+    i = bisect_left(tights, tau, 1)
+    return tights[min(i, len(tights) - 1)]
+
+
+def _prevts(tights: list[int], tau: int) -> int:
+    """Last tight slot before tau; tights[0] when there is none."""
+    i = bisect_left(tights, tau)
+    return tights[max(i - 1, 0)]
+
+
 class SlackProfile:
     """pslack over the slots [t - 1, sentinel] of a multiset of deadlines.
 
-    pslack(tau) = (tau - t + 1) - #{deadlines <= tau}.  Only the sorted
-    deadlines are kept.  Between two deadlines the profile rises by one
-    per slot, so each such stretch has its minimum at its first slot and
-    at most one zero; building the profile costs O(n log n) in the
-    number of deadlines and each query O(log n), whatever the horizon.
+    pslack(tau) = (tau - t + 1) - #{deadlines <= tau}.  Between two
+    deadlines the profile rises by one per slot, so each such stretch
+    has its minimum at its first slot and at most one zero; building the
+    profile costs O(n log n) in the number of deadlines and each query
+    O(log n), whatever the horizon.
 
     A deadline below t counts against every slot, so expired members
     show up as negative slack from slot t on.  A deadline at or past
@@ -192,12 +200,10 @@ class SlackProfile:
     slot is negative).
     """
 
-    __slots__ = ("t", "deadlines", "tights", "floor")
+    __slots__ = ("tights", "floor")
 
     def __init__(self, deadlines: Iterable[int], t: int, sentinel: int) -> None:
         ds = sorted(deadlines)
-        self.t = t
-        self.deadlines = ds
         tights = [t - 1]
         floor = (0, t - 1)
         # counting ds[0..j] against slot a = max(ds[j], t) leaves
@@ -218,29 +224,13 @@ class SlackProfile:
         self.tights = tights
         self.floor = floor
 
-    @classmethod
-    def of_plan(cls, t: int, deadlines: list[int], tights: list[int]) -> "SlackProfile":
-        """The profile of a feasible plan whose sorted deadlines and tight
-        slots are already known."""
-        profile = cls.__new__(cls)
-        profile.t = t
-        profile.deadlines = deadlines
-        profile.tights = tights
-        profile.floor = (0, t - 1)
-        return profile
-
-    def pslack(self, tau: int) -> int:
-        return (tau - self.t + 1) - bisect_right(self.deadlines, tau)
-
     def nextts(self, tau: int) -> int:
         """First tight slot at or after tau, at least t; the sentinel past it."""
-        i = bisect_left(self.tights, tau, 1)
-        return self.tights[min(i, len(self.tights) - 1)]
+        return _nextts(self.tights, tau)
 
     def prevts(self, tau: int) -> int:
         """Last tight slot before tau; t - 1 when there is none."""
-        i = bisect_left(self.tights, tau)
-        return self.tights[max(i - 1, 0)]
+        return _prevts(self.tights, tau)
 
 
 class PlanState:
@@ -259,9 +249,9 @@ class PlanState:
     * the plan members, in deadline order, are edited in place too:
       an admitted arrival is inserted and its evictee removed, a
       transmitted packet is removed, and a leap removes ell and inserts
-      rho.  The structure derived from them (slack profile, tight
-      slots, the lightest and heaviest member of each segment, minwt
-      per segment) is rebuilt by refresh() in one pass after every
+      rho.  The structure derived from them (tight slots, the
+      lightest and heaviest member of each segment, minwt per
+      segment) is rebuilt by refresh() in one pass after every
       event that changes a member or t.  A rejected arrival does not
       call it.
 
@@ -335,7 +325,6 @@ class PlanState:
         if low is not None and (running is None or low_w < running_w):
             running = low
         prefix.append(running)
-        self._profile = SlackProfile.of_plan(t, [p.deadline for p in members], tights)
         self.tights = tights
         self._seg_member_min = seg_min
         self._seg_member_max = seg_max
@@ -391,27 +380,22 @@ class PlanState:
 
     # slot queries
 
-    def _check_slot(self, tau: int, lo: int) -> None:
-        if not lo <= tau <= self.sentinel:
-            raise OutOfRangeError(f"slot {tau} outside [{lo}, {self.sentinel}]")
-
-    def pslack(self, tau: int) -> int:
-        self._check_slot(tau, self.t - 1)
-        return self._profile.pslack(tau)
-
-    def tight_slots(self) -> list[int]:
-        return list(self.tights)
+    def _check_slot(self, tau: int) -> None:
+        if not self.t <= tau <= self.sentinel:
+            raise OutOfRangeError(f"slot {tau} outside [{self.t}, {self.sentinel}]")
 
     def nextts(self, tau: int) -> int:
-        self._check_slot(tau, self.t)
-        return self._profile.nextts(tau)
+        """First tight slot at or after tau; the sentinel past it."""
+        self._check_slot(tau)
+        return _nextts(self.tights, tau)
 
     def prevts(self, tau: int) -> int:
-        self._check_slot(tau, self.t)
-        return self._profile.prevts(tau)
+        """Last tight slot before tau; t - 1 when there is none."""
+        self._check_slot(tau)
+        return _prevts(self.tights, tau)
 
     def _segment_of(self, tau: int) -> int:
-        self._check_slot(tau, self.t)
+        self._check_slot(tau)
         return bisect_left(self.tights, tau, 1)
 
     def _is_tail_segment(self, seg: int) -> bool:
@@ -628,7 +612,6 @@ class PlanState:
         dup._members = list(self._members)
         dup._nonplan = list(self._nonplan)
         dup._nonplan_maxd = list(self._nonplan_maxd)
-        dup._profile = self._profile
         dup.tights = self.tights
         dup._seg_member_min = self._seg_member_min
         dup._seg_member_max = self._seg_member_max

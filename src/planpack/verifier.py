@@ -25,6 +25,13 @@ recomputation) are re-checked after every event.
 Any failure raises a `VerifierError` subclass carrying enough context
 to replay the event.
 
+One routine, `_backup_pool`, lists every backup pool the audit reads in
+deadline order, from a plan given as packets in deadline order: the
+live plan, a snapshot's, the plan before an arrival, or a leap's
+working plan.  One walk, `_pool_walk`, gives a pool's slack floor and
+weight without a sort; a `SlackProfile` is built only where a
+furlough's release range reads a tight slot (`_cover_range`).
+
 The module never trusts the trace: each op takes the recorded event,
 recomputes it on the mirror and rejects it unless the two are equal in
 full.  The replay has no clock of its own.  `verify_trace` only hands
@@ -43,8 +50,8 @@ the summary totals and error messages are converted to rationals.
 from __future__ import annotations
 
 from bisect import insort
-from collections.abc import Container
-from dataclasses import dataclass
+from collections.abc import Container, Iterable
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
 from operator import attrgetter
@@ -166,27 +173,31 @@ class _Stop(NamedTuple):
     """A stop of a leap's replacement chain, weights scaled: p at 0, the
     shifted packets at 1..k, the promoted substitute rho at k+1.  tau is
     the tight slot at or after the old deadline, floor the threshold
-    there; new is the (deadline, weight) after the leap, None for p; rise
-    sums the weight increases up to this stop."""
+    there; new is the packet with its deadline and weight after the leap,
+    None for p; rise sums the weight increases up to this stop."""
 
     id: int
     old_weight: int
     tau: int
     floor: int
-    new: tuple[int, int] | None
+    new: PendingPacket | None
     bumped: bool
     rise: int
 
 
 class _Window(NamedTuple):
     """A long leap's window as its handlers see it: the plan before the leap,
-    the leap, its chain, the working plan {id: (deadline, weight)}, the case."""
+    the leap, its chain, the working plan {id: packet}, the case."""
 
     pre: PlanState
     rec: LeapRecord
     stops: list[_Stop]
-    working: dict[int, tuple[int, int]]
+    working: dict[int, PendingPacket]
     case: str
+
+    def plan(self) -> list[PendingPacket]:
+        """The working plan in deadline order."""
+        return sorted(self.working.values(), key=_deadline)
 
 
 class _Group(NamedTuple):
@@ -385,32 +396,30 @@ class Verifier:
     def _backup_pool(
         self,
         packets: dict[int, PendingPacket],
-        plan: dict[int, int],
+        members: Iterable[PendingPacket],
         claimed: Container[int],
-    ) -> list[tuple[int, int]]:
-        """The backup pool as (packet id, deadline) pairs: every furlough,
-        looked up in packets, then every plan member outside claimed.
+    ) -> list[PendingPacket]:
+        """The backup pool in deadline order: the members outside claimed,
+        with every furlough, looked up in packets and checked to be
+        pending, inserted by deadline.
 
-        plan is a plan view, {packet id: deadline}: the live plan, the
-        plan before the current event, or a leap's working plan.
+        members is a plan in deadline order: the live plan, a snapshot's,
+        the plan before an arrival, or a leap's working plan.
         """
-        pool = []
+        pool = [p for p in members if p.id not in claimed]
         for fid in self._furloughed:
             pkt = packets.get(fid)
             if pkt is None:
                 self._fail(InvariantViolation, f"furloughed packet {fid} not pending")
-            pool.append((fid, pkt.deadline))
-        pool.extend((pid, d) for pid, d in plan.items() if pid not in claimed)
+            insort(pool, pkt, key=_deadline)
         return pool
-
-    def _pool_profile(self, pool: list[tuple[int, int]], t: int) -> SlackProfile:
-        return SlackProfile([d for _, d in pool], t, self._state.sentinel)
 
     def _first_furlough(
         self, packets: dict[int, PendingPacket], lo: int, hi: int
     ) -> int | None:
         """The furlough with the earliest deadline in (lo, hi], ties by id."""
-        found = [(d, fid) for fid, d in self._backup_pool(packets, {}, ()) if lo < d <= hi]
+        pool = self._backup_pool(packets, (), ())
+        found = [(p.deadline, p.id) for p in pool if lo < p.deadline <= hi]
         return min(found)[1] if found else None
 
     def _earliest_furlough(
@@ -438,26 +447,38 @@ class Verifier:
             case=case,
         )
 
+    def _cover_range(
+        self,
+        reference: PlanState,
+        members: list[PendingPacket],
+        claimed: Container[int],
+        deadline: int,
+    ) -> tuple[int, int]:
+        """The range (lo, hi] holding the furlough that backs a plan
+        packet with this deadline: lo is the plan's last tight slot
+        before it, hi the backup pool's first tight slot at or after it.
+        members is the plan in deadline order; reference holds the
+        pending packets and the time it belongs to.
+        """
+        t, sentinel = reference.t, reference.sentinel
+        pool = self._backup_pool(reference.packets, members, claimed)
+        lo = SlackProfile([p.deadline for p in members], t, sentinel).prevts(deadline)
+        hi = SlackProfile([p.deadline for p in pool], t, sentinel).nextts(deadline)
+        return lo, hi
+
     def _restore_backup(
         self,
         reference: PlanState,
-        plan: dict[int, int],
+        members: list[PendingPacket],
         claimed: Container[int],
         g_deadline: int,
         case: str,
     ) -> tuple[int | None, int]:
-        """Release the furlough that covered a claimed plan packet.
-
-        The packet g leaves the plan's obligations; the furlough that
-        backed it sits between the last tight slot before g's deadline
-        and the backup pool's next tight slot at or after it.  reference
-        holds the pending packets and the time the plan view belongs to.
-        """
-        t = reference.t
-        eta = SlackProfile(plan.values(), t, self._state.sentinel).prevts(g_deadline)
-        pool = self._backup_pool(reference.packets, plan, claimed)
-        eta_prime = self._pool_profile(pool, t).nextts(g_deadline)
-        return self._earliest_furlough(reference, eta, eta_prime, case)
+        """Release the furlough that covered a claimed plan packet g, the
+        earliest in the `_cover_range` of g's deadline; g leaves the
+        plan's obligations."""
+        lo, hi = self._cover_range(reference, members, claimed, g_deadline)
+        return self._earliest_furlough(reference, lo, hi, case)
 
     # ------------------------------------------------------------------
     # invariant checks
@@ -469,9 +490,10 @@ class Verifier:
         is at a usable slot, that a live entry's packet is a plan member
         that can still reach it and holds no other slot, and that a
         placeholder does not outweigh the plan threshold; it collects the
-        claimed packets.  One pass over the backup pool then gives the
-        pool's slack floor, which must not be negative, and its weight,
-        which must match the running potential.
+        claimed packets.  The backup pool is built from the engine's
+        member list, no furlough may be a plan member, and `_pool_walk`
+        gives the pool's slack floor, which must not be negative, and
+        its weight, which must match the running potential.
         """
         state = self._state
         t, horizon, packets = state.t, self.instance.horizon, state.packets
@@ -498,7 +520,11 @@ class Verifier:
                         lhs=GoldenNumber(entry.weight, 0),
                         rhs=GoldenNumber(limit, 0),
                     )
-        slack, slot, weight = self._pool_floor(claimed)
+        pool = self._backup_pool(packets, state.iter_members(), claimed)
+        for fid in self._furloughed:
+            if packets[fid].in_plan:
+                self._fail(InvariantViolation, f"furloughed packet {fid} is in the plan")
+        slack, slot, weight = _pool_walk(pool, t)
         if slack < 0:
             self._fail(InvariantViolation, f"backup pool overfills slot {slot} by {-slack}")
         scratch = PHI_INV * weight
@@ -509,37 +535,6 @@ class Verifier:
                 lhs=self._potential,
                 rhs=scratch,
             )
-
-    def _pool_floor(self, claimed: Container[int]) -> tuple[int, int, int]:
-        """The live backup pool's slack floor, the slot reaching it, and
-        the pool's weight.
-
-        The plan members outside claimed come in deadline order from the
-        engine's member list; each furlough, checked to be pending and
-        outside the plan, is inserted by deadline.  One pass over that
-        pool gives the floor of `SlackProfile` over its deadlines (the
-        minimum of 0 and every pslack in [t, sentinel], at the first slot
-        reaching it; t - 1 if none is negative), with no sort.  Every
-        pending deadline is in [t, sentinel).
-        """
-        state = self._state
-        packets = state.packets
-        pool = [p for p in state.iter_members() if p.id not in claimed]
-        for fid in self._furloughed:
-            pkt = packets.get(fid)
-            if pkt is None:
-                self._fail(InvariantViolation, f"furloughed packet {fid} not pending")
-            if pkt.in_plan:
-                self._fail(InvariantViolation, f"furloughed packet {fid} is in the plan")
-            insort(pool, pkt, key=_deadline)
-        # the pool's j-th packet by deadline leaves pslack(d) = d - (t + j)
-        # once the packets sharing its deadline are counted
-        floor, floor_slot, weight = 0, state.t - 1, 0
-        for j, p in enumerate(pool, state.t):
-            if p.deadline - j < floor:
-                floor, floor_slot = p.deadline - j, p.deadline
-            weight += p.weight.value
-        return floor, floor_slot, weight
 
     # ------------------------------------------------------------------
     # reporting
@@ -614,22 +609,17 @@ class Verifier:
                 self._timetable[slot] = ShadowEntry(w_j)
                 detail_bits.append(f"shadow@{slot}")
         else:
-            # an arrival only flips in_plan flags, so the plan before it
-            # is the plan after it with the evictee back for the newcomer
             u_id = outcome.evicted_id
             if u_id is not None:
                 detail_bits.append(f"evicted={u_id}")
                 u = state.packets[u_id]
-                plan_pre = _plan_view(state)
-                del plan_pre[packet.id]
-                plan_pre[u_id] = u.deadline
             claimed = self._real_entries()
             if u_id is not None and u_id in claimed:
                 u_slot = claimed[u_id]
                 w_u = u.weight.value
                 self._timetable[u_slot] = ShadowEntry(w_u)
                 f_id, f_val = self._restore_backup(
-                    state, plan_pre, claimed, u.deadline, "A.2(i)"
+                    state, _plan_before(state, packet.id, u), claimed, u.deadline, "A.2(i)"
                 )
                 self._require_frac(f_val <= w_u, "A.2(i)", "cover outweighs evictee")
                 dpsi += PHI_INV * (w_u - f_val)
@@ -647,11 +637,10 @@ class Verifier:
                 if u_id is None:
                     dpsi += PHI_INV * w_j
                 else:
-                    pool = self._backup_pool(state.packets, plan_pre, self._real_entries())
-                    xi_b = self._pool_profile(pool, state.t).nextts(packet.deadline)
-                    lam = SlackProfile(
-                        plan_pre.values(), state.t, state.sentinel
-                    ).prevts(packet.deadline)
+                    lam, xi_b = self._cover_range(
+                        state, _plan_before(state, packet.id, u), self._real_entries(),
+                        packet.deadline,
+                    )
                     if u.deadline <= xi_b:
                         dpsi += PHI_INV * (w_j - u.weight.value)
                         detail_bits.append("swap")
@@ -734,7 +723,7 @@ class Verifier:
             claimed = self._real_entries()
             claimed[pid] = t
             f_id, f_val = self._restore_backup(
-                pre, _plan_view(pre), claimed, pkt.deadline, "ADV.1"
+                pre, pre.plan_members(), claimed, pkt.deadline, "ADV.1"
             )
             w_g = pkt.weight.value
             self._require_frac(f_val <= w_g, "ADV.1", "cover outweighs the entry")
@@ -886,14 +875,10 @@ class Verifier:
 
         # the plan after the first-segment stage, evolved group by group
         # into the plan after the leap
-        working = {
-            pid: (pre.packets[pid].deadline, pre.packets[pid].weight.value)
-            for pid in pre.plan_ids()
-            if pid != rec.ell_id
-        }
+        working = {p.id: p for p in pre.iter_members() if p.id != rec.ell_id}
         claimed = self._real_entries()
         window_live = any(
-            pid in working and rec.delta < working[pid][0] <= rec.gamma for pid in claimed
+            pid in working and rec.delta < working[pid].deadline <= rec.gamma for pid in claimed
         )
         short = not window_live and rec.rho_id not in self._furloughed
         case = ("L.S." if k == 0 else "L.I.") + ("1" if short else "2")
@@ -916,7 +901,8 @@ class Verifier:
         if working.keys() != self._state.plan_ids():
             fail("working plan membership diverged from the mirror")
         for pid, entry in working.items():
-            if entry != (packets[pid].deadline, packets[pid].weight.value):
+            p = packets[pid]
+            if (entry.deadline, entry.weight.value) != (p.deadline, p.weight.value):
                 fail(f"working plan packet {pid} diverged from the mirror")
         dpsi_total = adv.dpsi + dpsi_initseg + dpsi_window
         self._potential += dpsi_total
@@ -958,11 +944,16 @@ class Verifier:
             bumped = link.new_weight != link.old_weight
             if bumped and step != max(stops[-1].floor - old, 0):
                 fail(f"chain bump for {link.h_id} is not its floor")
-            new, rise = (link.new_deadline, link.new_weight.value), stops[-1].rise + step
+            h = pre.packets[link.h_id]
+            new = replace(h, deadline=link.new_deadline, weight=link.new_weight)
+            rise = stops[-1].rise + step
             stops.append(_Stop(link.h_id, old, link.tau, link.mu.value, new, bumped, rise))
         old = rec.rho_old_weight.value
         self._require_frac(rho_new >= old, "L.window", "promotion lowered the weight")
-        new, rise = (rec.rho_deadline, rho_new), stops[-1].rise + rho_new - old
+        # a virtual rho is pending only from the leap on
+        rho = pre.packets.get(rec.rho_id) or self._state.packets[rec.rho_id]
+        new = replace(rho, deadline=rec.rho_deadline, weight=rec.rho_new_weight)
+        rise = stops[-1].rise + rho_new - old
         stops.append(_Stop(rec.rho_id, old, rec.gamma, rho_new, new, True, rise))
         recorded = 0
         for pid, tw in event.dweights.items():
@@ -991,7 +982,7 @@ class Verifier:
         if ell_id in claimed:
             self._timetable[claimed[ell_id]] = ShadowEntry(w_ell)
             f_id, f_val = self._restore_backup(
-                pre, _plan_view(pre), claimed, ell.deadline, "L.InSeg(i)"
+                pre, pre.plan_members(), claimed, ell.deadline, "L.InSeg(i)"
             )
             self._require_frac(f_val <= w_ell, "L.InSeg(i)", "cover outweighs evictee")
             dpsi += PHI_INV * (w_ell - f_val)
@@ -1030,11 +1021,11 @@ class Verifier:
         pre, rec, stops, working, case = window
         k = len(stops) - 2
         fail = partial(self._fail, GroupPartitionError, case=case)
-        targets = [pid for pid in claimed if pid in working and working[pid][0] <= rec.gamma]
+        targets = [pid for pid in claimed if pid in working and working[pid].deadline <= rec.gamma]
         if not targets:
             fail("no claimed plan packet can absorb the replacement window")
-        g_star = max(targets, key=lambda pid: (working[pid][0], pid))
-        d_gstar = working[g_star][0]
+        g_star = max(targets, key=lambda pid: (working[pid].deadline, pid))
+        d_gstar = working[g_star].deadline
         anchors = tuple(i for i in range(k + 1) if stops[i].id in claimed)
         g_index = next(
             (i for i in anchors if pre.prevts(stops[i].tau) < d_gstar <= stops[i].tau), None
@@ -1114,8 +1105,8 @@ class Verifier:
             self._fail(
                 InvariantViolation, f"window target {g_id} lost its timetable slot", case=case
             )
-        g_deadline, w_g = working[g_id]
-        shadow = pre.minwt(g_deadline).value
+        w_g = working[g_id].weight.value
+        shadow = pre.minwt(working[g_id].deadline).value
         self._timetable[g_slot] = ShadowEntry(shadow)
         w_a = stops[a].old_weight
         self._require_frac(w_g <= w_a, case, "window target outweighs group head")
@@ -1142,7 +1133,7 @@ class Verifier:
         if any(stop.bumped for stop in stops[a + 1 : b + 2]):
             self._timetable[slot] = ShadowEntry(head.floor)
             f_id, f_val = self._restore_backup(
-                pre, _deadlines(working), claimed, working[head.id][0], case + ".M.i"
+                pre, window.plan(), claimed, working[head.id].deadline, case + ".M.i"
             )
             self._require_frac(f_val <= tail.old_weight, case, "cover outweighs the group tail")
             self._require_frac(head.floor <= head.old_weight, case, "floor outweighs group head")
@@ -1151,7 +1142,7 @@ class Verifier:
         successor = stops[a + 1]
         if successor.id in claimed:
             fail(InvariantViolation, f"chain packet {successor.id} already holds a slot")
-        if successor.new[0] < slot:
+        if successor.new.deadline < slot:
             fail(InvariantViolation, f"replacement {successor.id} cannot reach slot {slot}")
         self._timetable[slot] = RealEntry(successor.id)
         credit = head.old_weight - successor.old_weight
@@ -1176,8 +1167,8 @@ class Verifier:
         working = window.working
         del working[window.stops[a].id]
         working.update((stop.id, stop.new) for stop in window.stops[a + 1 : b + 2])
-        pool = self._backup_pool(window.pre.packets, _deadlines(working), self._real_entries())
-        slack, slot = self._pool_profile(pool, window.pre.t + 1).floor
+        pool = self._backup_pool(window.pre.packets, window.plan(), self._real_entries())
+        slack, slot, _ = _pool_walk(pool, window.pre.t + 1)
         if slack < 0:
             self._fail(
                 InvariantViolation,
@@ -1253,14 +1244,35 @@ class Verifier:
         )
 
 
-def _plan_view(state: PlanState) -> dict[int, int]:
-    """The plan of state as {packet id: deadline}."""
-    return {p.id: p.deadline for p in state.plan_members()}
+def _pool_walk(pool: list[PendingPacket], start: int) -> tuple[int, int, int]:
+    """The slack floor of a backup pool in deadline order, counted from
+    slot start, the slot reaching it, and the pool's weight.
+
+    The floor is that of `SlackProfile` over the pool's deadlines: the
+    minimum of 0 and every pslack from start to the sentinel, at the
+    first slot reaching it, start - 1 if none is negative.  A deadline
+    below start counts at start, as there.  One pass, no sort; every
+    pool deadline is below the sentinel.
+    """
+    floor, floor_slot, weight = 0, start - 1, 0
+    # the pool's j-th packet by deadline leaves pslack(a) = a - (start + j)
+    # at a = max(d, start) once the packets sharing its deadline are counted
+    for j, p in enumerate(pool, start):
+        a = p.deadline
+        if a < start:
+            a = start
+        if a - j < floor:
+            floor, floor_slot = a - j, a
+        weight += p.weight.value
+    return floor, floor_slot, weight
 
 
-def _deadlines(working: dict[int, tuple[int, int]]) -> dict[int, int]:
-    """A leap's working plan as a plan view, {packet id: deadline}."""
-    return {pid: deadline for pid, (deadline, _) in working.items()}
+def _plan_before(state: PlanState, pid: int, evictee: PendingPacket) -> list[PendingPacket]:
+    """The plan before the arrival of pid that evicted evictee, in
+    deadline order: the live members without pid, with evictee back."""
+    members = [p for p in state.iter_members() if p.id != pid]
+    insort(members, evictee, key=_deadline)
+    return members
 
 
 def _cover(fid: int | None) -> str:

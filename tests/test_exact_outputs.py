@@ -9,22 +9,27 @@ simple and iterated leaps.  The four commands run end to end through
 the CLI, and the SHA-256 of everything they write and print is pinned:
 the planm trace, the greedy trace, the optimal schedule, the audit
 ledger and the printed lines.  A phi-adversarial instance pins ledgers
-whose reduced denominators are hundreds of digits long.
+whose reduced denominators are hundreds of digits long.  One digest
+covers the in-process outputs of a corpus of 100 small generator
+instances.
 """
 
 import csv
 import hashlib
+import io
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
 
-from planpack.cli import main
+from planpack.cli import main, write_ledger
 from planpack.generators import GeneratorConfig, generate
 from planpack.model import Packet, save_instance, validate
-from planpack.offline import Schedule, format_schedule
-from planpack.trace_io import load_trace
+from planpack.offline import Schedule, format_schedule, optimal_schedule
+from planpack.schedulers import run
+from planpack.trace_io import format_trace, load_trace
+from planpack.verifier import verify_trace
 
 DENOMINATORS = (6, 35, 11)
 
@@ -310,3 +315,34 @@ def test_big_denominator_outputs_match_pins(tmp_path):
     assert len(str(instance.scale.denominator)) > 100
     digests, _ = pipeline(instance, tmp_path)
     assert digests == PHI_PINS
+
+
+# generator settings of the digest corpus, seeds 0-19 each
+CORPUS = (
+    dict(kind="uniform-random", steps=30),
+    dict(kind="uniform-random", steps=60, packets_per_step=3, weight_max=20),
+    dict(kind="s-bounded", steps=40, span=4, weight_max=20),
+    dict(kind="s-bounded", steps=40, span=8),
+    dict(kind="agreeable", steps=40, weight_max=20),
+)
+
+CORPUS_PIN = "86be2439985a948052d97b522e83506f9401376dee6cc6ec303685f3cfc4042a"
+
+
+def test_corpus_digest():
+    """One SHA-256 over the planm trace (with the monotonicity monitor),
+    the greedy trace, the optimal schedule and the audit ledger of every
+    corpus instance, all produced in process."""
+    digest = hashlib.sha256()
+    for setting in CORPUS:
+        for seed in range(20):
+            instance = generate(GeneratorConfig(seed=seed, **setting))
+            _, planm = run("planm", instance, check_monotonicity=True)
+            _, greedy = run("greedy", instance)
+            schedule = optimal_schedule(instance)
+            ledger = io.StringIO()
+            write_ledger(verify_trace(instance, planm, schedule), ledger)
+            for text in (format_trace(planm), format_trace(greedy),
+                         format_schedule(schedule), ledger.getvalue()):
+                digest.update(text.encode("utf-8"))
+    assert digest.hexdigest() == CORPUS_PIN

@@ -65,7 +65,7 @@ def test_w1_value_and_assignment(w1):
 
 def test_fig1_all_packets_fit(fig1):
     sched = optimal_schedule(fig1)
-    assert sched.packet_ids() == set(range(1, 9))
+    assert set(sched.assignment.values()) == set(range(1, 9))
     assert sched.weight0 == Fraction(46, 5)
 
 
@@ -98,7 +98,7 @@ def test_equal_weights_resolved_by_arrival_rank():
 def test_phi_adversarial_all_packets_schedulable():
     inst = generate(GeneratorConfig(kind="phi-adversarial", steps=12))
     sched = optimal_schedule(inst)
-    assert sched.packet_ids() == {p.id for p in inst.packets}
+    assert set(sched.assignment.values()) == {p.id for p in inst.packets}
 
 
 def test_brute_force_too_large():
@@ -298,7 +298,7 @@ def test_canonical_assignment_matches_slot_scan():
         for _ in range(4):
             subset = set(rng.sample(ids, rng.randint(0, len(ids))))
             assert canonical_assignment(inst, subset) == slot_scan_assignment(inst, subset)
-        best = optimal_schedule(inst).packet_ids()
+        best = set(optimal_schedule(inst).assignment.values())
         assert canonical_assignment(inst, best) == slot_scan_assignment(inst, best) is not None
 
 

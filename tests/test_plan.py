@@ -83,10 +83,7 @@ def check_against_oracles(state: PlanState, exhaustive: bool = True) -> None:
         assert state.plan_ids() == lexmax_feasible_subset(items_of(state), state.t)
 
     t, H = state.t, state.sentinel
-    assert state.tight_slots() == tights_def(members, t, H)
-    for tau in range(t - 1, H + 1):
-        assert state.pslack(tau) == pslack_def(members, t, tau) or tau == t - 1
-    assert state.pslack(t - 1) == 0
+    assert state.tights == tights_def(members, t, H)
     for tau in range(t, H + 1):
         assert state.minwt(tau) == minwt_def(members, t, H, tau)
         nt = state.nextts(tau)
@@ -112,7 +109,7 @@ def check_against_oracles(state: PlanState, exhaustive: bool = True) -> None:
             if outside:
                 assert sub.packet is max(outside, key=lambda q: q.weight)
             else:
-                assert sub.is_virtual
+                assert sub.packet is None
                 assert sub.deadline == beta + 1
                 assert sub.weight == ZERO_WEIGHT
 
@@ -133,8 +130,8 @@ def test_w1_structure(w1):
     state = state_from(w1)
     assert state.plan_ids() == {1, 2, 4}
     assert sum(state.packets[pid].weight.value for pid in state.plan_ids()) == 12
-    assert state.tight_slots() == [-1, 0, 1, 2, 3]
-    assert [state.pslack(tau) for tau in range(-1, 4)] == [0, 0, 0, 0, 1]
+    assert state.tights == [-1, 0, 1, 2, 3]
+    assert [pslack_def(state.plan_members(), 0, tau) for tau in range(-1, 4)] == [0, 0, 0, 0, 1]
     for tau in (0, 1, 2):
         assert state.minwt(tau).value == 3
         assert state.minwt_packet(tau).id == 1
@@ -148,7 +145,7 @@ def test_w1_substitutes(w1):
     assert state.substitute(1).packet.id == 1      # a backs itself up
     assert state.substitute(2).packet.id == 3      # c steps in for b
     sub_e = state.substitute(4)                    # nothing left for e
-    assert sub_e.is_virtual
+    assert sub_e.packet is None
     assert sub_e.deadline == 2
     assert sub_e.weight == ZERO_WEIGHT
     entries = state.segment_entries()
@@ -206,14 +203,14 @@ def test_w1_initseg_transmission(w1):
     state.apply_schedule_initseg(1)
     assert state.t == 1
     assert state.plan_ids() == {2, 4}
-    assert state.tight_slots() == [0, 1, 2, 3]
+    assert state.tights == [0, 1, 2, 3]
     check_against_oracles(state)
 
 
 def test_w2_structure(w2):
     state = state_from(w2)
     assert state.plan_ids() == {1, 2}
-    assert state.tight_slots() == [-1, 0, 1, 2]
+    assert state.tights == [-1, 0, 1, 2]
     assert state.nextts(0) == 0
     assert state.prevts(1) == 0
     assert state.minwt(0).value == 5
@@ -240,7 +237,7 @@ def test_fig1_structure(fig1):
     assert state.plan_ids() == {1, 2, 3, 4, 5, 6, 7}
     assert 8 not in state.plan_ids()
     assert state.packets[8].weight > state.packets[7].weight
-    assert state.tight_slots() == [0, 3, 4, 7, 8]
+    assert state.tights == [0, 3, 4, 7, 8]
     assert list(zip(state.tights, state.tights[1:])) == [(0, 3), (3, 4), (4, 7), (7, 8)]
     for tau in (1, 2, 3, 4):
         assert fig1.scale.rational(state.minwt(tau).value) == Fraction(1, 2)
@@ -249,7 +246,8 @@ def test_fig1_structure(fig1):
     assert state.minwt(8) == ZERO_WEIGHT
     assert state.nextts(5) == 7
     assert state.prevts(5) == 4
-    assert [state.pslack(tau) for tau in range(0, 9)] == [0, 1, 1, 0, 0, 1, 1, 0, 1]
+    slack = [pslack_def(state.plan_members(), 1, tau) for tau in range(0, 9)]
+    assert slack == [0, 1, 1, 0, 0, 1, 1, 0, 1]
     check_against_oracles(state, exhaustive=False)
 
 
@@ -260,10 +258,10 @@ def test_fig1_substitutes_shared_within_segment(fig1):
     for pid in (1, 2, 3):
         assert state.substitute(pid).packet is ell
     sub_k = state.substitute(4)
-    assert sub_k.is_virtual and sub_k.deadline == 4
+    assert sub_k.packet is None and sub_k.deadline == 4
     for pid in (5, 6, 7):
         sub = state.substitute(pid)
-        assert sub.is_virtual and sub.deadline == 5
+        assert sub.packet is None and sub.deadline == 5
     assert state.heaviest_in_window(0, 3).id == 2
     assert state.heaviest_in_window(3, 7).id == 4
     assert state.heaviest_in_window(4, 7).id == 5
@@ -294,10 +292,10 @@ def build(entries, t=0, sentinel=None):
 
 def test_arrival_splits_segment_with_new_tight_slot():
     state = build([(1, 1, 1), (2, 1, 5)])
-    assert state.tight_slots() == [-1, 1, 2]
+    assert state.tights == [-1, 1, 2]
     out = state.apply_arrival(3, 0, 0, TaggedWeight(Fraction(3), -3))
     assert out.admitted and out.evicted_id == 1
-    assert state.tight_slots() == [-1, 0, 1, 2]
+    assert state.tights == [-1, 0, 1, 2]
     check_against_oracles(state)
 
 
@@ -306,7 +304,7 @@ def test_arrival_into_slack_tail_is_pure_add():
     out = state.apply_arrival(3, 0, 0, TaggedWeight(Fraction(5), -3))
     assert out.admitted and out.evicted_id is None
     assert state.plan_ids() == {1, 2, 3}
-    assert 0 in state.tight_slots()
+    assert 0 in state.tights
     check_against_oracles(state)
 
 
@@ -318,7 +316,7 @@ def test_later_transmission_merges_segments():
     info = state.apply_schedule_later(2)
     assert (info.rho_id, info.ell_id, info.delta, info.gamma) == (4, 1, 0, 2)
     assert state.plan_ids() == {3, 4}
-    assert state.tight_slots() == [0, 2, 3]
+    assert state.tights == [0, 2, 3]
     check_against_oracles(state)
 
 
@@ -330,7 +328,7 @@ def test_later_transmission_substitute_before_p():
     info = state.apply_schedule_later(3)
     assert (info.rho_id, info.ell_id, info.delta, info.gamma) == (4, 1, 0, 2)
     assert state.plan_ids() == {2, 4}
-    assert state.tight_slots() == [0, 1, 2, 3]
+    assert state.tights == [0, 1, 2, 3]
     check_against_oracles(state)
 
 
@@ -341,7 +339,7 @@ def test_later_transmission_materializes_virtual_substitute():
     assert info.rho_id == -1
     assert (info.ell_id, info.delta, info.gamma) == (1, 0, 1)
     rho = state.packets[-1]
-    assert rho.is_virtual and rho.in_plan
+    assert rho.id < 0 and rho.in_plan
     assert rho.weight == TaggedWeight(Fraction(0), -1)
     assert rho.deadline == 1
     check_against_oracles(state)
@@ -361,7 +359,7 @@ def test_idle_stretch_advances_in_one_step():
     state = PlanState(0, 10)
     state.advance_idle(7)
     assert state.t == 7
-    assert state.tight_slots() == [6, 10]
+    assert state.tights == [6, 10]
     for slots in (0, -1):
         with pytest.raises(PlanError):
             state.advance_idle(slots)
@@ -375,7 +373,7 @@ def test_errors():
     with pytest.raises(InInitSegError):
         state.apply_schedule_later(1)
     with pytest.raises(OutOfRangeError):
-        state.pslack(-2)
+        state.prevts(state.t - 1)
     with pytest.raises(OutOfRangeError):
         state.minwt(-1)
     with pytest.raises(OutOfRangeError):
@@ -399,9 +397,9 @@ def test_empty_state():
     state = PlanState(0, 5)
     assert state.plan_ids() == set()
     assert state.lightest_initseg() is None
-    assert state.tight_slots() == [-1, 5]
+    assert state.tights == [-1, 5]
     assert state.minwt(3) == ZERO_WEIGHT
-    assert state.pslack(5) == 6
+    assert pslack_def(state.plan_members(), 0, 5) == 6
     state.advance_idle(1)
     assert state.t == 1
 
@@ -460,18 +458,19 @@ def test_random_event_sequences_match_oracles(seed):
 
 
 def answers(state: PlanState) -> dict:
-    """Every public query at every slot, plus the non-plan index, with
-    packets named by id so that a clone's answers compare equal."""
+    """Every public query at every slot, the slack recounted over the
+    members, and the non-plan index, with packets named by id so that a
+    clone's answers compare equal."""
     def sub(r):
         return (None if r.packet is None else r.packet.id, r.deadline, r.weight)
 
     t, H = state.t, state.sentinel
-    tights = state.tight_slots()
+    tights = state.tights
     light = state.lightest_initseg()
     return {
         "t": t,
         "tights": tights,
-        "pslack": [state.pslack(tau) for tau in range(t - 1, H + 1)],
+        "pslack": [pslack_def(state.plan_members(), t, tau) for tau in range(t - 1, H + 1)],
         "minwt": [state.minwt(tau) for tau in range(t, H + 1)],
         "nextts": [state.nextts(tau) for tau in range(t, H + 1)],
         "prevts": [state.prevts(tau) for tau in range(t, H + 1)],

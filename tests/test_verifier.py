@@ -22,9 +22,10 @@ from planpack.generators import GeneratorConfig, generate
 from planpack.golden import PHI, ZERO, TaggedWeight, golden
 from planpack.model import Packet, validate
 from planpack.offline import Schedule, optimal_schedule
-from planpack.plan import SlackProfile
+from planpack.plan import PendingPacket, SlackProfile
 from planpack.schedulers import ArrivalEvent, RunTrace, ScheduleEvent, run
 from planpack.trace_io import format_trace, parse_trace
+from planpack import verifier as verifier_module
 from planpack.verifier import (
     InfeasibleComparison,
     InvariantViolation,
@@ -33,6 +34,7 @@ from planpack.verifier import (
     TraceMismatch,
     Verifier,
     VerifierError,
+    _pool_walk,
     verify_trace,
 )
 
@@ -394,19 +396,60 @@ def test_fractional_weights_sweep():
             assert summary.bound_margin == PHI * trace.gain0 - comparison.weight0
 
 
-# the post-event pool walk against the pool rebuilt as a list
+# the pool walk and the cover ranges against the pool rebuilt as a list
+
+
+def rebuilt_floor(furloughs, members, claimed, start, sentinel) -> tuple[int, int, int]:
+    """The backup pool listed as before the one-pass walk: every
+    furlough, then every member no timetable entry claims, handed to
+    SlackProfile from slot start.  Returns its floor, the floor's slot
+    and its weight."""
+    pool = list(furloughs) + [p for p in members if p.id not in claimed]
+    slack, slot = SlackProfile([p.deadline for p in pool], start, sentinel).floor
+    return slack, slot, sum(p.weight.value for p in pool)
 
 
 def rebuilt_pool(verifier: Verifier) -> tuple[int, int, int]:
-    """The live backup pool listed as before the one-pass walk: every
-    furlough, then every plan member no timetable entry claims, handed
-    to SlackProfile.  Returns its floor, the floor's slot and its weight."""
+    """The live backup pool's floor, floor slot and weight, rebuilt."""
     state = verifier._state
     claimed = {e.packet_id for e in verifier._timetable.values() if isinstance(e, RealEntry)}
-    pool = [state.packets[fid] for fid in verifier._furloughed]
-    pool += [p for p in state.plan_members() if p.id not in claimed]
-    slack, slot = SlackProfile([p.deadline for p in pool], state.t, state.sentinel).floor
-    return slack, slot, sum(p.weight.value for p in pool)
+    furloughs = [state.packets[fid] for fid in verifier._furloughed]
+    return rebuilt_floor(furloughs, state.plan_members(), claimed, state.t, state.sentinel)
+
+
+def walked_pool(verifier: Verifier) -> tuple[int, int, int]:
+    """The live backup pool's floor, floor slot and weight, walked."""
+    state = verifier._state
+    pool = verifier._backup_pool(state.packets, state.iter_members(), verifier._real_entries())
+    return _pool_walk(pool, state.t)
+
+
+def sampled_audits(seed: int, rng: random.Random):
+    """The pinned instance whose leap charges an M.i group and 30 small
+    instances per seed, each audited against the optimum and a random
+    feasible schedule; yields (instance number, instance, trace,
+    comparison)."""
+    instances = [generate(GeneratorConfig(
+        "s-bounded", 20, seed=7, packets_per_step=4, weight_max=20, span=4
+    ))]
+    for n in range(30):
+        if n % 3:
+            instances.append(small_instance(rng))
+        else:
+            instances.append(generate(GeneratorConfig(
+                "s-bounded", 12, seed=100 * seed + n, packets_per_step=3, weight_max=20, span=4
+            )))
+    for n, inst in enumerate(instances):
+        _, trace = run("planm", inst)
+        for comparison in (optimal_schedule(inst), random_feasible_schedule(inst, rng)):
+            yield n, inst, trace, comparison
+
+
+def spare_packets(verifier: Verifier, packets) -> list[int]:
+    """Pending packets outside the plan that are not furloughed."""
+    return [
+        pid for pid, p in packets.items() if not p.in_plan and pid not in verifier._furloughed
+    ]
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -422,34 +465,121 @@ def test_pool_walk_matches_the_rebuilt_pool(seed, monkeypatch):
 
     def checked(verifier):
         post_event_checks(verifier)
-        assert verifier._pool_floor(verifier._real_entries()) == rebuilt_pool(verifier)
+        assert walked_pool(verifier) == rebuilt_pool(verifier)
         seen["furloughs"] += bool(verifier._furloughed)
-        spare = [
-            pid for pid, p in verifier._state.packets.items()
-            if not p.in_plan and pid not in verifier._furloughed
-        ]
+        spare = spare_packets(verifier, verifier._state.packets)
         if inject and spare:
             extra = rng.sample(spare, rng.randint(1, len(spare)))
             verifier._furloughed.update(extra)
-            walk = verifier._pool_floor(verifier._real_entries())
+            walk = walked_pool(verifier)
             assert walk == rebuilt_pool(verifier)
             verifier._furloughed.difference_update(extra)
             seen["injected"] += 1
             seen["overfull"] += walk[0] < 0
 
     monkeypatch.setattr(Verifier, "_post_event_checks", checked)
-    for n in range(30):
+    for n, inst, trace, comparison in sampled_audits(seed, rng):
         inject = n % 2 == 1
-        if n % 3:
-            inst = small_instance(rng)
-        else:
-            inst = generate(GeneratorConfig(
-                "s-bounded", 12, seed=100 * seed + n, packets_per_step=3, weight_max=20, span=4
-            ))
-        _, trace = run("planm", inst)
-        for comparison in (optimal_schedule(inst), random_feasible_schedule(inst, rng)):
-            verify_trace(inst, trace, comparison)
+        verify_trace(inst, trace, comparison)
     assert min(seen["furloughs"], seen["injected"], seen["overfull"]) > 0, seen
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_working_pool_walk_matches_the_rebuilt_pool(seed, monkeypatch):
+    """At every advance of a leap's working plan, the floor the audit
+    walked from t+1 is the rebuilt pool's.  In half of the audits a few
+    of the pending non-plan packets before the leap are then furloughed
+    for the comparison alone; those due at t count at t+1."""
+    rng = random.Random(8200 + seed)
+    seen: Counter = Counter()
+    inject = False
+    walks = []
+    advance_working = Verifier._advance_working
+
+    def recorded_walk(pool, start):
+        walks.append(_pool_walk(pool, start))
+        return walks[-1]
+
+    def checked(verifier, window, a, b):
+        advance_working(verifier, window, a, b)
+        pre, claimed = window.pre, verifier._real_entries()
+        members = list(window.working.values())
+        furloughs = [pre.packets[fid] for fid in verifier._furloughed]
+        assert walks[-1] == rebuilt_floor(furloughs, members, claimed, pre.t + 1, pre.sentinel)
+        seen["advances"] += 1
+        seen["furloughs"] += bool(furloughs)
+        spare = spare_packets(verifier, pre.packets)
+        if inject and spare:
+            extra = rng.sample(spare, rng.randint(1, len(spare)))
+            verifier._furloughed.update(extra)
+            pool = verifier._backup_pool(pre.packets, window.plan(), claimed)
+            walk = _pool_walk(pool, pre.t + 1)
+            furloughs += [pre.packets[fid] for fid in extra]
+            assert walk == rebuilt_floor(furloughs, members, claimed, pre.t + 1, pre.sentinel)
+            verifier._furloughed.difference_update(extra)
+            seen["injected"] += 1
+            seen["due at t"] += any(pre.packets[fid].deadline == pre.t for fid in extra)
+            seen["overfull"] += walk[0] < 0
+
+    monkeypatch.setattr(verifier_module, "_pool_walk", recorded_walk)
+    monkeypatch.setattr(Verifier, "_advance_working", checked)
+    for n, inst, trace, comparison in sampled_audits(seed, rng):
+        inject = n % 2 == 1
+        verify_trace(inst, trace, comparison)
+    assert min(seen.values()) > 0 and len(seen) == 5, seen
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_cover_ranges_match_the_rebuilt_pool(seed, monkeypatch):
+    """Every range a furlough is released from, by _restore_backup (eta,
+    eta') and by A.2.b (lam, xi_b), is the one profiles of the plan and
+    of the rebuilt pool give.  The plan is the one before the arrival on
+    an arrival, the plan before the transmission at an adversary step
+    or in a leap's first segment, and the working plan in a middle
+    group."""
+    rng = random.Random(8300 + seed)
+    seen: Counter = Counter()
+    context = {}
+    cover_range = Verifier._cover_range
+
+    def checked(verifier, reference, members, claimed, deadline):
+        t, sentinel = reference.t, reference.sentinel
+        furloughs = [reference.packets[fid] for fid in verifier._furloughed]
+        pool = furloughs + [p for p in members if p.id not in claimed]
+        expected = (
+            SlackProfile([p.deadline for p in members], t, sentinel).prevts(deadline),
+            SlackProfile([p.deadline for p in pool], t, sentinel).nextts(deadline),
+        )
+        deadlines = [p.deadline for p in members]
+        assert deadlines == sorted(deadlines)
+        kind = context.get("kind", "snapshot")
+        if kind == "arrival":
+            assert {p.id: p.deadline for p in members} == context["plan"]
+        elif kind == "snapshot":
+            assert members == reference.plan_members()
+        seen[kind] += 1
+        assert cover_range(verifier, reference, members, claimed, deadline) == expected
+        return expected
+
+    def within(name, kind):
+        method = getattr(Verifier, name)
+
+        def wrapped(verifier, *args):
+            state = verifier._state
+            context.update(kind=kind, plan={p.id: p.deadline for p in state.plan_members()})
+            try:
+                return method(verifier, *args)
+            finally:
+                context.clear()
+
+        monkeypatch.setattr(Verifier, name, wrapped)
+
+    monkeypatch.setattr(Verifier, "_cover_range", checked)
+    within("on_arrival", "arrival")
+    within("_middle_group", "working")
+    for _, inst, trace, comparison in sampled_audits(seed, rng):
+        verify_trace(inst, trace, comparison)
+    assert min(seen["arrival"], seen["snapshot"], seen["working"]) > 0, seen
 
 
 # the shared slack profile against a brute-force recount
@@ -471,8 +601,6 @@ def test_slack_helpers_match_recount(deadlines, t):
 
     profile = SlackProfile(deadlines, t, sentinel)
     direct = [(tau - t + 1) - counted(tau) for tau in range(t, sentinel + 1)]
-    for tau, slack in zip(range(t, sentinel + 1), direct):
-        assert profile.pslack(tau) == slack
 
     slack, slot = profile.floor
     assert slack == min([0] + direct)
@@ -481,6 +609,15 @@ def test_slack_helpers_match_recount(deadlines, t):
         assert all(x > slack for x in direct[: slot - t])
     else:
         assert slot == t - 1
+
+    # a backup pool holds only deadlines below the sentinel; over those
+    # the audit's one-pass walk must give the same floor
+    if all(d < sentinel for d in deadlines):
+        pool = [
+            PendingPacket(i, 0, 1, d, TaggedWeight(1, i), d)
+            for i, d in enumerate(sorted(deadlines))
+        ]
+        assert _pool_walk(pool, t) == (slack, slot, len(pool))
 
     tights = profile.tights
     expected = [
