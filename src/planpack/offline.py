@@ -4,10 +4,27 @@ for small instances.
 
 The admissible sets form a transversal matroid (packets matched to
 slots), so greedy admission in decreasing weight order with an
-augmenting-path feasibility test is exactly optimal.
+augmenting-path feasibility test is exactly optimal.  A search only
+decides whether its packet fits beside the packets already admitted,
+which is a property of that set and not of the matching, so the
+admitted set does not depend on which augmenting path a search finds.
+
+The search finds slots through two path-compressed pointers instead of
+walking windows.  The first is global: it maps a held slot to a lower
+slot with every slot between them held, so following it from a
+deadline gives the latest free slot at or below it.  It stays valid for
+the whole run because a held slot is never freed: an augmenting path
+moves packets among the slots it holds and takes one free slot.  Every
+packet the search reaches, the root first, looks there for a free slot
+in its window, and the search augments at once if it finds one.
+Otherwise every slot of the window is held, and the search tries them
+latest first through the second pointer, kept per search: it maps a
+slot to a lower one with every slot between them tried or a dead end
+(below), so no slot is tried twice and none is walked over again.
 
 A failed search prunes the later ones.  It fails only when every slot
-it reached is held, and it tries every slot in the window of each
+it reached is held, and, since a look for a free slot only ever ends a
+search early with success, it tries every slot in the window of each
 packet it reaches, so those windows cover one closed interval whose
 every slot is held by a packet with its window inside: the interval is
 tight, with as many admitted packets inside it as it has slots.
@@ -17,8 +34,8 @@ X, N(I | J) >= N(I) + N(J) - N(I & J) >= |I| + |J| - |I & J|.  Every
 slot of a tight block is held by a packet with its window inside the
 block, so no augmenting path enters a block and leaves it: a slot in a
 block is a dead end for the search, and a packet whose window lies
-inside a block is rejected without one.  Neither changes the matching
-the search builds or the admitted set.
+inside a block is rejected without one.  This holds for any matching,
+whichever paths earlier searches found.
 
 The final assignment is canonicalized independently of that matching:
 slots ascending, each filled with the admitted packet of smallest
@@ -32,6 +49,7 @@ from __future__ import annotations
 
 import bisect
 import heapq
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -50,6 +68,10 @@ __all__ = [
 ]
 
 BRUTE_FORCE_LIMIT = 12
+
+# the forms format_schedule writes a cell and the total weight in
+_INTEGER = re.compile(r"-?[0-9]+")
+_RATIONAL = re.compile(r"-?[0-9]+/[0-9]+")
 
 
 class TooLargeError(ValueError):
@@ -120,17 +142,19 @@ class TightBlocks:
     """Slot intervals known to be tight: every slot in one is held by an
     admitted packet whose window lies inside it.  The blocks are sorted,
     disjoint and never adjacent, kept as parallel lists of first and
-    last slots; ``slots`` holds every slot of every block."""
+    last slots.  ``below`` maps every slot of every block to a lower
+    slot with every slot between them in a block; following it link by
+    link leads out of the blocks."""
 
     def __init__(self) -> None:
         self.starts: list[int] = []
         self.ends: list[int] = []
-        self.slots: set[int] = set()
+        self.below: dict[int, int] = {}
 
     def add(self, lo: int, hi: int) -> None:
         """Record the tight interval [lo, hi], merged with every block it
         overlaps or touches."""
-        self.slots.update(range(lo, hi + 1))
+        first, last = lo, hi
         i = bisect.bisect_left(self.ends, lo - 1)
         j = bisect.bisect_right(self.starts, hi + 1)
         if i < j:
@@ -138,6 +162,7 @@ class TightBlocks:
             hi = max(hi, self.ends[j - 1])
         self.starts[i:j] = [lo]
         self.ends[i:j] = [hi]
+        self.below.update(dict.fromkeys(range(first, last + 1), lo - 1))
 
     def covers(self, release: int, deadline: int) -> bool:
         """Whether [release, deadline] lies inside one block."""
@@ -148,45 +173,82 @@ class TightBlocks:
 def optimal_schedule(instance: Instance) -> Schedule:
     weights = tagged_weight_map(instance, TiebreakSource())
     order = sorted(instance.packets, key=lambda p: weights[p.id], reverse=True)
+    # two maps of ints: a tuple per packet would be one more object for
+    # the garbage collector to count
+    releases = {p.id: p.release for p in instance.packets}
+    deadlines = {p.id: p.deadline for p in instance.packets}
     match: dict[int, int] = {}
-    # each packet's slots, latest first
-    slots = {p.id: range(p.deadline, p.release - 1, -1) for p in instance.packets}
+    # held slot -> a lower slot, every slot between them held
+    free_below: dict[int, int] = {}
     blocks = TightBlocks()
-    tight = blocks.slots
+    tight_below = blocks.below
 
     def augment(root: int) -> bool:
         """Depth-first search for an augmenting path from root.  pids[i]
-        is a packet on the path, untried[i] its slots not yet tried, and
-        path[i] the slot it is trying, held by pids[i + 1].  A slot in a
-        tight block is a dead end.  A failed search records the windows
-        of every packet it reached, which cover one tight interval."""
-        visited: set[int] = set()
-        pids = [root]
-        reached = [root]
-        untried = [iter(slots[root])]
-        path: list[int] = []
-        while untried:
-            for slot in untried[-1]:
-                if slot in visited or slot in tight:
-                    continue
-                visited.add(slot)
-                path.append(slot)
-                occupant = match.get(slot)
-                if occupant is None:
+        is a packet on the path and path[i] the slot it is trying, held
+        by pids[i + 1].  Each packet reached first takes the latest free
+        slot of its window, if it has one; the lists and the tried
+        pointer are made only when the root has none.  A failed search
+        records the windows of every packet it reached, which cover one
+        tight interval."""
+        pid = root
+        path = None
+        while True:
+            release = releases[pid]
+            deadline = deadlines[pid]
+            free = deadline
+            while free in free_below:
+                free = free_below[free]
+            slot = deadline
+            while slot != free:
+                free_below[slot], slot = free, free_below[slot]
+            if free >= release:
+                if path is None:
+                    match[free] = root
+                else:
+                    path.append(free)
                     match.update(zip(path, pids))
-                    return True
-                pids.append(occupant)
-                reached.append(occupant)
-                untried.append(iter(slots[occupant]))
-                break
+                free_below[free] = free - 1
+                return True
+            if path is None:
+                pids = [root]
+                path = []
+                # slot -> a lower slot, every slot between them tried or
+                # in a tight block
+                tried: dict[int, int] = {}
+                lo, hi = release, deadline
             else:
-                untried.pop()
+                if release < lo:
+                    lo = release
+                if deadline > hi:
+                    hi = deadline
+            # try the latest slot of pids[-1] not yet tried nor dead; a
+            # packet that gets back to the top resumes below the slot it tried
+            slot = deadline
+            while True:
+                start = slot
+                while True:
+                    step = tried.get(slot)
+                    if step is None:
+                        step = tight_below.get(slot)
+                        if step is None:
+                            break
+                    slot = step
+                while start != slot:
+                    step = tried.get(start)
+                    tried[start], start = slot, tight_below[start] if step is None else step
+                if slot >= release:
+                    break
                 pids.pop()
-                if path:
-                    path.pop()
-        blocks.add(min(slots[q].stop for q in reached) + 1,
-                   max(slots[q].start for q in reached))
-        return False
+                if not path:
+                    blocks.add(lo, hi)
+                    return False
+                slot = path.pop()
+                release = releases[pids[-1]]
+            tried[slot] = slot - 1
+            path.append(slot)
+            pid = match[slot]
+            pids.append(pid)
 
     admitted: set[int] = set()
     total = 0
@@ -245,6 +307,10 @@ def format_schedule(schedule: Schedule) -> str:
 
 
 def parse_schedule(text: str) -> Schedule:
+    """Read a schedule file.  Its integers must be in the form
+    format_schedule writes: int() would also take underscores, signs,
+    blanks and non-ASCII digits, and read distinct files as one
+    schedule."""
     assignment: dict[int, int] = {}
     weight0 = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -255,15 +321,16 @@ def parse_schedule(text: str) -> Schedule:
             raise ScheduleSyntaxError(f"line {lineno}: content after the weight footer")
         head, _, rest = line.partition(",")
         if head == "W":
+            if not _RATIONAL.fullmatch(rest):
+                raise ScheduleSyntaxError(f"line {lineno}: bad total weight {rest!r}")
             try:
                 weight0 = parse_rational(rest)
             except ValueError as exc:
                 raise ScheduleSyntaxError(f"line {lineno}: bad total weight: {exc}") from exc
             continue
-        try:
-            slot, pid = int(head), int(rest)
-        except ValueError as exc:
-            raise ScheduleSyntaxError(f"line {lineno}: expected 'slot,packet_id'") from exc
+        if not (_INTEGER.fullmatch(head) and _INTEGER.fullmatch(rest)):
+            raise ScheduleSyntaxError(f"line {lineno}: expected 'slot,packet_id'")
+        slot, pid = int(head), int(rest)
         if slot in assignment:
             raise ScheduleSyntaxError(f"line {lineno}: slot {slot} assigned twice")
         assignment[slot] = pid

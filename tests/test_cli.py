@@ -260,6 +260,24 @@ class TestVerify:
         assert result.output.startswith(f"Error: {files[bad]}: ")
         assert "can't decode byte 0xff" in result.output
 
+    @pytest.mark.parametrize("cell", ["0_1,2", " +1 , 2", "\u0661,\u0662"],
+                             ids=["underscore", "sign-and-blanks", "arabic-indic-digits"])
+    def test_non_canonical_comparison_cell_exits_1(self, runner, w2_file, tmp_path, cell):
+        """Each cell reads as slot 1, packet 2 under int(): the written
+        line is 1,2."""
+        trace, comparison = self.run_pipeline(runner, w2_file, tmp_path)
+        with open(comparison) as fh:
+            assert fh.read() == "0,1\n1,2\nW,15/1\n"
+        with open(comparison, "w", encoding="utf-8") as fh:
+            fh.write(f"0,1\n{cell}\nW,15/1\n")
+        result = runner.invoke(
+            main,
+            ["verify", "--instance", w2_file, "--trace", trace,
+             "--comparison", comparison],
+        )
+        assert result.exit_code == 1
+        assert result.output.startswith(f"Error: {comparison}: line 2: ")
+
     def test_empty_instance(self, runner, tmp_path):
         empty = tmp_path / "empty.jsonl"
         empty.write_text("")

@@ -1,10 +1,14 @@
 """Offline optimum: matched against brute force and hand-worked values."""
 
+import inspect
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from planpack import offline
 from planpack.generators import GeneratorConfig, generate
 from planpack.golden import TiebreakSource
 from planpack.model import Packet, tagged_weight_map, validate
@@ -20,7 +24,42 @@ from planpack.offline import (
     optimal_schedule,
     parse_schedule,
 )
-from conftest import FAR, mk
+from conftest import CHAIN_LENGTH, FAR, mk
+
+# the statement of the augmenting search that marks a slot tried
+TRIED_STATEMENT = "tried[slot] = slot - 1"
+
+
+def search_cost(instance):
+    """optimal_schedule(instance) run under a tracer, and its cost:
+    "searches" counts calls of the augmenting search, "slots" the slots
+    they try, and "lines" the lines executed in offline.py outside
+    canonical_assignment.  The counts are deterministic."""
+    source = inspect.getsource(offline).splitlines()
+    marks = [n for n, text in enumerate(source, start=1) if text.strip() == TRIED_STATEMENT]
+    assert len(marks) == 1, marks
+    cost = Counter()
+
+    def line(frame, event, arg):
+        if event == "line":
+            cost["lines"] += 1
+            cost["slots"] += frame.f_lineno == marks[0]
+        return line
+
+    def call(frame, event, arg):
+        code = frame.f_code
+        if code.co_filename != offline.__file__ or code.co_name == "canonical_assignment":
+            return None
+        cost["searches"] += code.co_name == "augment"
+        return line
+
+    previous = sys.gettrace()
+    sys.settrace(call)
+    try:
+        schedule = optimal_schedule(instance)
+    finally:
+        sys.settrace(previous)
+    return schedule, cost
 
 
 def test_empty_instance():
@@ -31,9 +70,15 @@ def test_empty_instance():
 
 
 def test_deep_augmenting_path(chain):
-    sched = optimal_schedule(chain)
+    """Every chain packet's window is full but p_0's, so the last search
+    tries the slot of each chain packet in turn: a path 1200 deep, which
+    no look for a free slot shortens, at a cost linear in its length."""
+    sched, cost = search_cost(chain)
     assert sched.weight0 == 2401
     assert sorted(sched.assignment) == list(range(1201))
+    assert cost["searches"] == CHAIN_LENGTH + 1
+    assert cost["slots"] == CHAIN_LENGTH
+    assert cost["lines"] <= 90_000
 
 
 def test_single_packet():
@@ -137,6 +182,18 @@ def test_schedule_round_trip(w2):
     assert parse_schedule(text) == Schedule({0: 1, 1: 2}, Fraction(15))
 
 
+@pytest.mark.parametrize("text, lineno", [
+    ("1_0,3\nW,3/1\n", 1),
+    ("0,1\n +2 , 3\nW,3/1\n", 2),
+    ("0,1\n\u0663,\u0664\nW,3/1\n", 2),
+    ("0,1\nW,1_5/1\n", 2),
+], ids=["underscore", "sign-and-blanks", "arabic-indic-digits", "footer-underscore"])
+def test_schedule_integers_take_only_the_written_form(text, lineno):
+    """int() would read each of these as a schedule of canonical cells."""
+    with pytest.raises(ScheduleSyntaxError, match=f"^line {lineno}: "):
+        parse_schedule(text)
+
+
 def test_schedule_parse_errors():
     with pytest.raises(ScheduleSyntaxError):
         parse_schedule("0,1\n")                    # no footer
@@ -226,19 +283,82 @@ CROWDED_SHAPES = [
 ]
 
 
-@pytest.mark.parametrize("shape", CROWDED_SHAPES, ids=lambda s: "-".join(map(str, s.values())))
+def idle_gaps(inst, seed):
+    """The instance with an idle gap of 1 to 10 slots after about one
+    step in four; a window stretches over the gaps inside it."""
+    rng = random.Random(seed)
+    at = {}
+    shift = 0
+    for t in range(max((p.deadline for p in inst.packets), default=0) + 1):
+        at[t] = t + shift
+        if rng.random() < 0.25:
+            shift += rng.randint(1, 10)
+    return validate([Packet(p.id, at[p.release], at[p.deadline], p.weight)
+                     for p in inst.packets])
+
+
+def half_to_horizon(inst, seed):
+    """The instance with every odd packet's deadline moved to the last
+    deadline of all."""
+    horizon = max((p.deadline for p in inst.packets), default=0)
+    return validate([Packet(p.id, p.release, horizon if p.id % 2 else p.deadline, p.weight)
+                     for p in inst.packets])
+
+
+SEARCH_SHAPES = CROWDED_SHAPES + [
+    dict(kind="uniform-random", packets_per_step=2),
+    dict(kind="s-bounded", packets_per_step=5, span=6, reshape=idle_gaps),
+    dict(kind="uniform-random", packets_per_step=3, reshape=half_to_horizon),
+]
+
+
+def shape_id(shape):
+    return "-".join(getattr(v, "__name__", str(v)) for v in shape.values())
+
+
+@pytest.mark.parametrize("shape", SEARCH_SHAPES, ids=shape_id)
 def test_pruned_search_matches_plain_search(shape):
-    """Crowded shapes, where most admission searches fail; brute force
+    """Crowded shapes, where most admission searches fail; a sparse one,
+    where searches succeed after long paths; idle gaps the free-slot
+    pointer crosses; and windows that reach the horizon.  Brute force
     on the small ones."""
+    shape = dict(shape)
+    reshape = shape.pop("reshape", lambda inst, seed: inst)
     for seed in range(60):
         steps = 20 + (seed * 37) % 101
         inst = generate(GeneratorConfig(seed=seed, steps=steps, weight_max=20, **shape))
+        inst = reshape(inst, seed)
         assert optimal_schedule(inst) == plain_optimal_schedule(inst), seed
         small = generate(GeneratorConfig(seed=seed, steps=2 + seed % 3, weight_max=20, **shape))
+        small = reshape(small, seed)
         sched = optimal_schedule(small)
         assert sched == plain_optimal_schedule(small), seed
         if len(small.packets) <= BRUTE_FORCE_LIMIT:
             assert sched.weight0 == brute_force_opt(small).weight0, seed
+
+
+# counts of search_cost on two pinned crowded instances: windows that
+# reach the horizon, and windows of at most 9 slots
+SEARCH_COSTS = {
+    "uniform-random": (GeneratorConfig("uniform-random", steps=100, weight_max=100),
+                       dict(searches=102, slots=1320, lines=88057)),
+    "s-bounded": (GeneratorConfig("s-bounded", steps=300, weight_max=100, span=8),
+                  dict(searches=340, slots=668, lines=55949)),
+}
+
+
+@pytest.mark.parametrize("name", SEARCH_COSTS)
+def test_search_cost_is_bounded(name):
+    """The search's work stays within a tenth of its pinned counts.
+    Variants that stay exact but work more go over the bound: no
+    dead-end test, a block recorded from the root's window only, no
+    look for a free slot, and no path compression of either pointer."""
+    config, counts = SEARCH_COSTS[name]
+    inst = generate(config)
+    sched, cost = search_cost(inst)
+    assert sched == plain_optimal_schedule(inst)
+    for key, count in counts.items():
+        assert cost[key] <= count * 11 // 10, (key, cost[key], count)
 
 
 @pytest.mark.parametrize("packets, assignment", [
@@ -277,7 +397,7 @@ def test_tight_blocks_merge_only_touching_intervals():
     assert not blocks.covers(1, 3) and blocks.covers(3, 4) and not blocks.covers(4, 5)
     blocks.add(2, 2)
     assert (blocks.starts, blocks.ends) == ([0], [4])
-    assert blocks.covers(1, 3) and blocks.slots == {0, 1, 2, 3, 4}
+    assert blocks.covers(1, 3) and set(blocks.below) == {0, 1, 2, 3, 4}
     blocks.add(7, 9)
     blocks.add(6, 6)
     blocks.add(12, 12)
