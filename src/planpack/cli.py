@@ -18,29 +18,25 @@ import os
 import sys
 import time
 from fractions import Fraction
-from typing import Iterator, TextIO
+from typing import Callable, Iterator, TextIO, TypeVar
 
 import click
 
 from planpack import generators
 from planpack.generators import KINDS, GeneratorConfig
 from planpack.golden import PHI, GoldenNumber, format_golden, golden, golden_sign
-from planpack.model import (
-    Instance,
-    InstanceSyntaxError,
-    load_instance,
-    serialize_instance,
-)
+from planpack.model import load_instance, serialize_instance
 from planpack.offline import (
     Schedule,
-    ScheduleSyntaxError,
     format_schedule,
     optimal_schedule,
     parse_schedule,
 )
-from planpack.schedulers import ALGORITHMS, MonotonicityError, RunTrace, run
-from planpack.trace_io import TraceSyntaxError, load_trace, save_trace
+from planpack.schedulers import ALGORITHMS, MonotonicityError, run
+from planpack.trace_io import load_trace, save_trace
 from planpack.verifier import VerificationResult, VerifierError, verify_trace
+
+T = TypeVar("T")
 
 LEDGER_COLUMNS = (
     "index", "time", "kind", "case", "detail", "advgain", "dweights",
@@ -130,26 +126,20 @@ def _require_folder(path: str) -> None:
             raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT))
 
 
-def _read_instance(path: str) -> Instance:
+def _read(path: str, load: Callable[[str], T]) -> T:
+    """load(path); a malformed file, which every reader reports with a
+    ValueError, exits 1 with the path and the reason."""
     try:
-        return load_instance(path)
-    except (InstanceSyntaxError, ValueError) as exc:
+        return load(path)
+    except ValueError as exc:
         raise click.ClickException(f"{path}: {exc}") from exc
 
 
-def _read_schedule(path: str) -> Schedule:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse_schedule(fh.read())
-    except (ScheduleSyntaxError, UnicodeDecodeError) as exc:
-        raise click.ClickException(f"{path}: {exc}") from exc
-
-
-def _read_trace(path: str) -> RunTrace:
-    try:
-        return load_trace(path)
-    except (TraceSyntaxError, UnicodeDecodeError) as exc:
-        raise click.ClickException(f"{path}: {exc}") from exc
+def _load_schedule(path: str) -> Schedule:
+    # parse_schedule is looked up when called, so a wrapper set on this
+    # module's name sees the call
+    with open(path, "r", encoding="utf-8") as fh:
+        return parse_schedule(fh.read())
 
 
 existing_file = click.Path(exists=True, dir_okay=False)
@@ -178,7 +168,7 @@ def simulate(instance_path: str, algorithm: str, trace_path: str | None,
     """Run a scheduler over an instance and print its on-time gain."""
     if trace_path is not None:
         _require_folder(trace_path)
-    inst = _read_instance(instance_path)
+    inst = _read(instance_path, load_instance)
     try:
         result, trace = run(algorithm, inst, check_monotonicity=check_monotonicity)
     except MonotonicityError as exc:
@@ -197,7 +187,7 @@ def opt(instance_path: str, out_path: str | None) -> None:
     """Compute an exact maximum-weight offline schedule."""
     if out_path is not None:
         _require_folder(out_path)
-    inst = _read_instance(instance_path)
+    inst = _read(instance_path, load_instance)
     schedule = optimal_schedule(inst)
     if out_path is not None:
         with _writing(out_path), open(out_path, "w", encoding="utf-8") as fh:
@@ -221,9 +211,9 @@ def verify(instance_path: str, trace_path: str, comparison_path: str,
     """
     if out_path is not None:
         _require_folder(out_path)
-    inst = _read_instance(instance_path)
-    trace = _read_trace(trace_path)
-    comparison = _read_schedule(comparison_path)
+    inst = _read(instance_path, load_instance)
+    trace = _read(trace_path, load_trace)
+    comparison = _read(comparison_path, _load_schedule)
     try:
         result = verify_trace(inst, trace, comparison)
     except VerifierError as exc:

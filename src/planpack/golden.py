@@ -255,31 +255,48 @@ def format_rational(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+# The number grammar of every file planpack reads, in the forms its
+# writers emit: ASCII digits, an optional leading "-" (never "+"), an
+# unsigned denominator, and a sign on every tiebreak.  int() alone would
+# also take blanks, "+", "_" and non-ASCII digits, and so read distinct
+# files as one run.  Leading zeros and unreduced fractions are accepted.
+_INTEGER = r"-?[0-9]+"
+_RATIONAL = rf"{_INTEGER}/[0-9]+"
+_TIEBREAK = r"[+-][0-9]+"
+_INTEGER_RE = re.compile(_INTEGER)
+_RATIONAL_RE = re.compile(_RATIONAL)
+
+
+def parse_integer(text: str) -> int:
+    """An integer in the file grammar; ValueError otherwise."""
+    if _INTEGER_RE.fullmatch(text) is None:
+        raise ValueError(f"bad integer {text!r}")
+    return int(text)
+
+
 def parse_rational(text: str) -> Fraction:
+    """A rational in the file grammar, num/den with den > 0; ValueError
+    otherwise."""
     if not isinstance(text, str):
         raise ValueError(f"rational must be a num/den string: {text!r}")
-    num, sep, den = text.partition("/")
-    if not sep:
-        raise ValueError(f"rational must look like num/den: {text!r}")
-    try:
-        n = int(num)
-        d = int(den)
-    except ValueError as exc:
-        raise ValueError(f"bad rational {text!r}") from exc
+    if _RATIONAL_RE.fullmatch(text) is None:
+        raise ValueError(f"bad rational {text!r}")
+    num, _, den = text.partition("/")
+    d = int(den)
     if d == 0:
         raise ValueError(f"zero denominator in {text!r}")
-    return Fraction(n, d)
+    return Fraction(int(num), d)
 
 
 def format_golden(x: GoldenNumber) -> str:
     return f"{format_rational(x.a)}+{format_rational(x.b)}*phi"
 
 
-_GOLDEN_RE = re.compile(r"^(-?\d+/-?\d+)\+(-?\d+/-?\d+)\*phi$")
+_GOLDEN_RE = re.compile(rf"({_RATIONAL})\+({_RATIONAL})\*phi")
 
 
 def parse_golden(text: str) -> GoldenNumber:
-    m = _GOLDEN_RE.match(text)
+    m = _GOLDEN_RE.fullmatch(text)
     if m is None:
         raise ValueError(f"bad golden number {text!r}")
     return GoldenNumber(parse_rational(m.group(1)), parse_rational(m.group(2)))
@@ -290,13 +307,13 @@ def format_tagged(w: TaggedWeight, scale: WeightScale) -> str:
     return f"{format_rational(scale.rational(w.value))}({w.tiebreak:+d})"
 
 
-_TAGGED_RE = re.compile(r"^(-?\d+/-?\d+)\(([+-]\d+)\)$")
+_TAGGED_RE = re.compile(rf"({_RATIONAL})\(({_TIEBREAK})\)")
 
 
 def parse_tagged(text: str, scale: WeightScale) -> TaggedWeight:
     """Inverse of format_tagged; ValueError unless the value is a
     multiple of 1/D."""
-    m = _TAGGED_RE.match(text)
+    m = _TAGGED_RE.fullmatch(text)
     if m is None:
         raise ValueError(f"bad tagged weight {text!r}")
     return TaggedWeight(scale.scaled(parse_rational(m.group(1))), int(m.group(2)))

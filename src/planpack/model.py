@@ -22,6 +22,7 @@ from planpack.golden import (
     TiebreakSource,
     WeightScale,
     format_rational,
+    parse_integer,
     parse_rational,
 )
 
@@ -105,7 +106,7 @@ def validate(packets: Iterable[Packet]) -> Instance:
     cap = os.environ.get(HORIZON_CAP_ENV)
     if cap is not None:
         try:
-            limit = int(cap)
+            limit = parse_integer(cap)
         except ValueError:
             raise InstanceError(f"{HORIZON_CAP_ENV} must be an integer, got {cap!r}") from None
         if horizon + 1 > limit:
@@ -129,6 +130,29 @@ def tagged_weight_map(instance: Instance, source: TiebreakSource) -> dict[int, T
     }
 
 
+def json_integer(value: object, name: str) -> int:
+    """value, when it is a JSON integer: 1.0, 1e0 and true are not."""
+    if type(value) is not int:
+        raise ValueError(f"field {name} must be an integer")
+    return value
+
+
+def packet_from_json(obj: object) -> Packet:
+    """The packet of one JSON cell of an instance or trace file: keys id,
+    r, d and w, JSON integers for id, r and d, and a num/den string
+    for w.  ValueError otherwise."""
+    if not isinstance(obj, dict) or obj.keys() != {"id", "r", "d", "w"}:
+        raise ValueError("expected keys id, r, d, w")
+    try:
+        weight = parse_rational(obj["w"])
+    except ValueError as exc:
+        raise ValueError(f"bad weight: {exc}") from exc
+    return Packet(
+        json_integer(obj["id"], "id"), json_integer(obj["r"], "r"),
+        json_integer(obj["d"], "d"), weight,
+    )
+
+
 def parse_instance(text: str) -> Instance:
     packets = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -142,17 +166,10 @@ def parse_instance(text: str) -> Instance:
         except (RecursionError, ValueError) as exc:
             # nesting too deep, or an integer past Python's digit limit
             raise InstanceSyntaxError(lineno, f"bad JSON: {exc}") from exc
-        if not isinstance(obj, dict) or set(obj) != {"id", "r", "d", "w"}:
-            raise InstanceSyntaxError(lineno, "expected keys id, r, d, w")
         try:
-            weight = parse_rational(obj["w"])
-        except (TypeError, ValueError) as exc:
-            raise InstanceSyntaxError(lineno, f"bad weight: {exc}") from exc
-        for key in ("id", "r", "d"):
-            if not isinstance(obj[key], int) or isinstance(obj[key], bool):
-                raise InstanceSyntaxError(lineno, f"field {key} must be an integer")
-        packet = Packet(obj["id"], obj["r"], obj["d"], weight)
-        packets.append(packet)
+            packets.append(packet_from_json(obj))
+        except ValueError as exc:
+            raise InstanceSyntaxError(lineno, str(exc)) from exc
     return validate(packets)
 
 

@@ -49,11 +49,10 @@ from __future__ import annotations
 
 import bisect
 import heapq
-import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .golden import TiebreakSource, format_rational, parse_rational
+from .golden import TiebreakSource, format_rational, parse_integer, parse_rational
 from .model import Instance, tagged_weight_map
 
 __all__ = [
@@ -68,11 +67,6 @@ __all__ = [
 ]
 
 BRUTE_FORCE_LIMIT = 12
-
-# the forms format_schedule writes a cell and the total weight in
-_INTEGER = re.compile(r"-?[0-9]+")
-_RATIONAL = re.compile(r"-?[0-9]+/[0-9]+")
-
 
 class TooLargeError(ValueError):
     """brute_force_opt refuses instances beyond its packet limit."""
@@ -307,10 +301,9 @@ def format_schedule(schedule: Schedule) -> str:
 
 
 def parse_schedule(text: str) -> Schedule:
-    """Read a schedule file.  Its integers must be in the form
-    format_schedule writes: int() would also take underscores, signs,
-    blanks and non-ASCII digits, and read distinct files as one
-    schedule."""
+    """Read a schedule file.  Its numbers follow the grammar of
+    :mod:`planpack.golden` (``parse_integer``, ``parse_rational``), the
+    forms format_schedule writes."""
     assignment: dict[int, int] = {}
     weight0 = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -321,16 +314,15 @@ def parse_schedule(text: str) -> Schedule:
             raise ScheduleSyntaxError(f"line {lineno}: content after the weight footer")
         head, _, rest = line.partition(",")
         if head == "W":
-            if not _RATIONAL.fullmatch(rest):
-                raise ScheduleSyntaxError(f"line {lineno}: bad total weight {rest!r}")
             try:
                 weight0 = parse_rational(rest)
             except ValueError as exc:
                 raise ScheduleSyntaxError(f"line {lineno}: bad total weight: {exc}") from exc
             continue
-        if not (_INTEGER.fullmatch(head) and _INTEGER.fullmatch(rest)):
-            raise ScheduleSyntaxError(f"line {lineno}: expected 'slot,packet_id'")
-        slot, pid = int(head), int(rest)
+        try:
+            slot, pid = parse_integer(head), parse_integer(rest)
+        except ValueError:
+            raise ScheduleSyntaxError(f"line {lineno}: expected 'slot,packet_id'") from None
         if slot in assignment:
             raise ScheduleSyntaxError(f"line {lineno}: slot {slot} assigned twice")
         assignment[slot] = pid

@@ -9,9 +9,12 @@ Format, one event per line:
 
 An idle slot is `S,<t>,-,idle,-,-`.  Absent leap or dweights cells are
 `-`.  Weights inside the JSON cells are exact "num/den(+tb)" strings;
-the packet JSON matches the instance file shape.  JSON cells contain
-commas, so S lines are parsed with a raw JSON decoder walking the tail
-of the line rather than a comma split.
+the packet cell is an instance file line, read by
+``model.packet_from_json``.  Every number follows the grammar of
+:mod:`planpack.golden`, and the integers inside JSON cells are JSON
+integers (not 1.0 or true).  JSON cells contain commas, so S lines are
+parsed with a raw JSON decoder walking the tail of the line rather than
+a comma split.
 
 In memory, an idle stretch is one event, ``ScheduleEvent.slots`` long;
 in the file it is one idle line per slot.  ``format_trace`` expands it,
@@ -31,8 +34,15 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .golden import WeightScale, format_rational, format_tagged, parse_rational, parse_tagged
-from .model import Packet, serialize_packet
+from .golden import (
+    WeightScale,
+    format_rational,
+    format_tagged,
+    parse_integer,
+    parse_rational,
+    parse_tagged,
+)
+from .model import json_integer, packet_from_json, serialize_packet
 from .schedulers import (
     ArrivalEvent,
     ChainLink,
@@ -91,23 +101,25 @@ def _leap_json(leap: LeapRecord, scale: WeightScale) -> dict:
 
 
 def _leap_from_json(obj: dict, scale: WeightScale) -> LeapRecord:
+    if type(obj["rho_virtual"]) is not bool:
+        raise ValueError("field rho_virtual must be true or false")
     return LeapRecord(
-        p_id=obj["p"],
-        rho_id=obj["rho"],
-        ell_id=obj["ell"],
-        delta=obj["delta"],
-        gamma=obj["gamma"],
-        tau0=obj["tau0"],
+        p_id=json_integer(obj["p"], "p"),
+        rho_id=json_integer(obj["rho"], "rho"),
+        ell_id=json_integer(obj["ell"], "ell"),
+        delta=json_integer(obj["delta"], "delta"),
+        gamma=json_integer(obj["gamma"], "gamma"),
+        tau0=json_integer(obj["tau0"], "tau0"),
         rho_was_virtual=obj["rho_virtual"],
-        rho_deadline=obj["rho_d"],
+        rho_deadline=json_integer(obj["rho_d"], "rho_d"),
         rho_old_weight=parse_tagged(obj["rho_w"][0], scale),
         rho_new_weight=parse_tagged(obj["rho_w"][1], scale),
         chain=tuple(
             ChainLink(
-                h_id=c[0],
-                tau=c[1],
-                old_deadline=c[2],
-                new_deadline=c[3],
+                h_id=json_integer(c[0], "h_id"),
+                tau=json_integer(c[1], "tau"),
+                old_deadline=json_integer(c[2], "old_deadline"),
+                new_deadline=json_integer(c[3], "new_deadline"),
                 old_weight=parse_tagged(c[4], scale),
                 new_weight=parse_tagged(c[5], scale),
                 mu=parse_tagged(c[6], scale),
@@ -179,7 +191,7 @@ def _schedule_event(record: tuple, scale: WeightScale) -> ScheduleEvent:
         dweights = (
             {}
             if dw_obj is None
-            else {int(k): parse_tagged(v, scale) for k, v in dw_obj.items()}
+            else {parse_integer(k): parse_tagged(v, scale) for k, v in dw_obj.items()}
         )
     except (AttributeError, KeyError, IndexError, TypeError, ValueError) as exc:
         raise TraceSyntaxError(lineno, f"bad cell content: {exc}") from exc
@@ -210,38 +222,25 @@ def parse_trace(text: str) -> RunTrace:
             continue
         if tag == "A":
             t_text, _, cell = rest.partition(",")
-            try:
-                t = int(t_text)
-            except ValueError as exc:
-                raise TraceSyntaxError(lineno, "bad arrival time") from exc
             obj, end = _take_cell(cell, 0, lineno)
             if obj is None or end != len(cell):
                 raise TraceSyntaxError(lineno, "bad arrival packet cell")
-            if not isinstance(obj, dict) or set(obj) != {"id", "r", "d", "w"}:
-                raise TraceSyntaxError(lineno, "arrival packet needs keys id, r, d, w")
             try:
-                packet = Packet(obj["id"], obj["r"], obj["d"], parse_rational(obj["w"]))
-            except (TypeError, ValueError) as exc:
-                raise TraceSyntaxError(lineno, f"bad arrival packet: {exc}") from exc
-            events.append(ArrivalEvent(t, packet))
+                events.append(ArrivalEvent(parse_integer(t_text), packet_from_json(obj)))
+            except ValueError as exc:
+                raise TraceSyntaxError(lineno, f"bad arrival: {exc}") from exc
         elif tag == "S":
             fields = rest.split(",", 3)
             if len(fields) != 4:
                 raise TraceSyntaxError(lineno, "short transmission line")
             t_text, pid_text, kind, tail = fields
             try:
-                t = int(t_text)
+                t = parse_integer(t_text)
+                pid = None if pid_text == "-" else parse_integer(pid_text)
             except ValueError as exc:
-                raise TraceSyntaxError(lineno, "bad transmission time") from exc
+                raise TraceSyntaxError(lineno, f"bad transmission: {exc}") from exc
             if kind not in KINDS:
                 raise TraceSyntaxError(lineno, f"unknown kind {kind!r}")
-            if pid_text == "-":
-                pid = None
-            else:
-                try:
-                    pid = int(pid_text)
-                except ValueError as exc:
-                    raise TraceSyntaxError(lineno, "bad packet id") from exc
             leap_obj, pos = _take_cell(tail, 0, lineno)
             pos = _expect_comma(tail, pos, lineno)
             dw_obj, pos = _take_cell(tail, pos, lineno)

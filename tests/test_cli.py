@@ -107,17 +107,18 @@ class TestSimulate:
         assert "SCHED_HORIZON_CAP" in result.output
 
     def test_non_integer_horizon_cap_is_named(self, runner, w2_file, tmp_path, monkeypatch):
-        monkeypatch.setenv("SCHED_HORIZON_CAP", "abc")
-        message = "SCHED_HORIZON_CAP must be an integer, got 'abc'"
-        simulate = runner.invoke(main, ["simulate", "--instance", w2_file])
-        assert simulate.exit_code == 1
-        assert simulate.output == f"Error: {w2_file}: {message}\n"
-        generate = runner.invoke(
-            main, ["generate", "--generator", "s-bounded", "--steps", "5",
-                   "--out", str(tmp_path / "g.jsonl")]
-        )
-        assert generate.exit_code == 1
-        assert generate.output == f"Error: {message}\n"
+        for cap in ("abc", " 1_000 "):      # int() would read the second as 1000
+            monkeypatch.setenv("SCHED_HORIZON_CAP", cap)
+            message = f"SCHED_HORIZON_CAP must be an integer, got {cap!r}"
+            simulate = runner.invoke(main, ["simulate", "--instance", w2_file])
+            assert simulate.exit_code == 1
+            assert simulate.output == f"Error: {w2_file}: {message}\n"
+            generate = runner.invoke(
+                main, ["generate", "--generator", "s-bounded", "--steps", "5",
+                       "--out", str(tmp_path / "g.jsonl")]
+            )
+            assert generate.exit_code == 1
+            assert generate.output == f"Error: {message}\n"
 
     def test_monotonicity_monitor_flag(self, runner, w1_file):
         ok = runner.invoke(
@@ -233,6 +234,29 @@ class TestVerify:
         )
         assert result.exit_code == 1
         assert "event=4" in result.output
+
+    @pytest.mark.parametrize("which, canonical, lenient", [
+        ("instance", '"w":"10/1"', '"w":"1_0/1"'),
+        ("trace", "S,1,3,", "S, +1,3,"),
+        ("comparison", "W,15/1", "W,15/-1"),
+    ], ids=["instance", "trace", "comparison"])
+    def test_numbers_off_the_grammar_exit_1(self, runner, w2_file, tmp_path, which,
+                                            canonical, lenient):
+        trace, comparison = self.run_pipeline(runner, w2_file, tmp_path)
+        paths = {"instance": w2_file, "trace": trace, "comparison": comparison}
+        path = paths[which]
+        with open(path) as fh:
+            text = fh.read()
+        assert text.count(canonical) == 1
+        with open(path, "w") as fh:
+            fh.write(text.replace(canonical, lenient))
+        result = runner.invoke(
+            main,
+            ["verify", "--instance", w2_file, "--trace", trace, "--comparison", comparison],
+        )
+        assert result.exit_code == 1
+        assert result.output.startswith(f"Error: {path}: ")
+        assert "Traceback" not in result.output
 
     def test_greedy_trace_rejected(self, runner, w1_file, tmp_path):
         trace, comparison = self.run_pipeline(

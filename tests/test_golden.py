@@ -26,6 +26,7 @@ from planpack.golden import (
     golden_mul,
     golden_sign,
     parse_golden,
+    parse_integer,
     parse_rational,
     parse_tagged,
 )
@@ -168,6 +169,38 @@ def test_rational_serialization():
         parse_rational("5")
     with pytest.raises(ValueError):
         parse_rational("a/b")
+
+
+ARABIC_THREE = "\u0663"
+
+
+@pytest.mark.parametrize("parse, text", [
+    (parse_integer, " +0"),
+    (parse_integer, "1_0"),
+    (parse_integer, ARABIC_THREE),
+    (parse_integer, "3\n"),
+    (parse_rational, "1_5/1"),
+    (parse_rational, " +3/1"),
+    (parse_rational, f"{ARABIC_THREE}/1"),
+    (parse_rational, "3/-1"),
+    (parse_rational, "3/1\n"),
+    (parse_golden, "1/1+3/-1*phi"),
+    (parse_golden, "1/1+1/1*phi\n"),
+    (lambda text: parse_tagged(text, WeightScale([])), f"{ARABIC_THREE}/1(+0)"),
+    (lambda text: parse_tagged(text, WeightScale([])), "3/-1(+0)"),
+    (lambda text: parse_tagged(text, WeightScale([])), "3/1(+0)\n"),
+], ids=[
+    "int-sign-and-blank", "int-underscore", "int-arabic-indic", "int-newline",
+    "rational-underscore", "rational-sign-and-blank", "rational-arabic-indic",
+    "rational-negative-denominator", "rational-newline",
+    "golden-negative-denominator", "golden-newline",
+    "tagged-arabic-indic", "tagged-negative-denominator", "tagged-newline",
+])
+def test_number_grammar_rejects_what_int_would_read(parse, text):
+    """int() reads each of these, so without the grammar two distinct
+    texts would stand for one number."""
+    with pytest.raises(ValueError):
+        parse(text)
 
 
 def test_golden_serialization_round_trip():

@@ -110,6 +110,14 @@ def test_parse_rejects_non_string_weight(weight):
         parse_instance(f'{{"id": 1, "r": 0, "d": 1, "w": {weight}}}\n')
 
 
+@pytest.mark.parametrize("weight", ["1_5/1", " +3/1", "\u0663/1", "-3/-1"],
+                         ids=["underscore", "sign-and-blank", "arabic-indic", "negative-denominator"])
+def test_parse_rejects_weights_off_the_grammar(weight):
+    """Each reads, through int(), as a weight that a canonical line also writes."""
+    with pytest.raises(InstanceSyntaxError, match="line 1: bad weight"):
+        parse_instance(f'{{"id": 1, "r": 0, "d": 1, "w": "{weight}"}}\n')
+
+
 DEEP_JSON = "[" * 100_000 + "]" * 100_000
 
 

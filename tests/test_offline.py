@@ -187,7 +187,9 @@ def test_schedule_round_trip(w2):
     ("0,1\n +2 , 3\nW,3/1\n", 2),
     ("0,1\n\u0663,\u0664\nW,3/1\n", 2),
     ("0,1\nW,1_5/1\n", 2),
-], ids=["underscore", "sign-and-blanks", "arabic-indic-digits", "footer-underscore"])
+    ("0,1\nW,3/-1\n", 2),
+], ids=["underscore", "sign-and-blanks", "arabic-indic-digits", "footer-underscore",
+        "footer-negative-denominator"])
 def test_schedule_integers_take_only_the_written_form(text, lineno):
     """int() would read each of these as a schedule of canonical cells."""
     with pytest.raises(ScheduleSyntaxError, match=f"^line {lineno}: "):

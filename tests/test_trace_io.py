@@ -122,6 +122,33 @@ def test_parse_errors():
             parse_trace(f"H,1,planm\n{line}\nG,0/1\n")
 
 
+@pytest.mark.parametrize("canonical, lenient", [
+    ('{"id":1,"r":0', '{"id":1.0,"r":0'),
+    ('"d":1,"w":"10/1"', '"d":true,"w":"10/1"'),
+    ("S,1,3,", "S, +1,3,"),
+    ("S,1,3,", "S,1,0_3,"),
+    ('{"3":"5/1(+1)"}', '{" 3":"5/1(+1)"}'),
+    ('"delta":0,', '"delta":0.0,'),
+    ('"rho_virtual":false', '"rho_virtual":0'),
+    ('"rho_w":["4/1(-3)"', '"rho_w":["\\u0664/1(-3)"'),
+    ('{"3":"5/1(+1)"}', '{"3":"5/1(+1)\\n"}'),
+    ("G,14/1", "G, +14/1"),
+], ids=[
+    "arrival-float-id", "arrival-bool-deadline", "time-sign-and-blank", "pid-underscore",
+    "dweights-key-blank", "leap-float-delta", "leap-int-rho-virtual",
+    "tagged-arabic-indic", "tagged-newline", "gain-sign-and-blank",
+])
+def test_numbers_off_the_grammar_rejected(canonical, lenient):
+    """Read with int() and JSON's loose number types, each of these texts
+    is the W2 run, which only W2_TRACE may describe."""
+    assert W2_TRACE.count(canonical) == 1
+    text = W2_TRACE.replace(canonical, lenient)
+    lineno = next(i for i, line in enumerate(text.splitlines(), 1) if lenient in line)
+    with pytest.raises(TraceSyntaxError) as exc:
+        parse_trace(text)
+    assert exc.value.line == lineno
+
+
 def test_error_carries_line_number():
     with pytest.raises(TraceSyntaxError) as exc:
         parse_trace("H,1,planm\nS,0,1,warp,-,-\nG,0/1\n")
