@@ -3,7 +3,12 @@
 Every quantity the analysis machinery compares has the form a + b*phi
 with rational a, b, where phi = (1 + sqrt 5)/2.  Signs of such numbers
 are decided by rational arithmetic alone, so each inequality check in
-the verifier is a binary, tolerance-free verdict.
+the verifier is a binary, tolerance-free verdict.  When the rational
+part and the sqrt5 part pull opposite ways, :func:`golden_sign` first
+brackets sqrt5 between L_41/F_41 and L_40/F_40, two consecutive
+Lucas/Fibonacci ratios (L_n**2 - 5*F_n**2 = 4*(-1)**n puts them on
+either side), which costs two products with 28-bit constants; only a
+ratio inside the bracket squares the operands.
 
 Inside a run the rationals are integers: every weight a run holds is an
 input weight or 0, and every other quantity is a sum of weights, so
@@ -120,8 +125,16 @@ def golden_sign(x: GoldenNumber) -> int:
     Writing a + b*phi = (s + b*sqrt5)/2 with s = 2a + b: when b = 0 the
     sign is sign(a); when s and b do not disagree in sign, that shared
     sign wins (s = 0 leaves b*sqrt5 alone).  Otherwise the two terms
-    compete and |s| vs |b|*sqrt5 is settled by comparing s**2 with
-    5*b**2; equality is impossible for b != 0 since sqrt5 is irrational.
+    compete, |s| against |b|*sqrt5.  Two Lucas/Fibonacci ratios bracket
+    sqrt5, since L_n**2 - 5*F_n**2 = 4*(-1)**n:
+
+        L_41/F_41 = 370248451/165580141 < sqrt5 < 228826127/102334155 = L_40/F_40
+
+    |s|*F_40 >= |b|*L_40 means s wins and |s|*F_41 <= |b|*L_41 means b
+    wins; a product with a 28-bit constant is linear in the size of the
+    operand.  Only a ratio |s|/|b| strictly inside the bracket (within
+    about 1e-16 of sqrt5) compares s**2 with 5*b**2; equality is
+    impossible for b != 0 since sqrt5 is irrational.
     """
     a, b = x.a, x.b
     if b == 0:
@@ -130,6 +143,11 @@ def golden_sign(x: GoldenNumber) -> int:
     sb = _sign(b)
     ss = _sign(s)
     if ss == 0 or ss == sb:
+        return sb
+    s_abs, b_abs = abs(s), abs(b)
+    if s_abs * 102334155 >= b_abs * 228826127:
+        return ss
+    if s_abs * 165580141 <= b_abs * 370248451:
         return sb
     if s * s > 5 * b * b:
         return ss
@@ -162,9 +180,9 @@ class WeightScale:
 
     D is the lcm of the weights' denominators, 1 when they are all
     integers.  ``scaled`` maps a rational w to the int w*D and
-    ``rational`` maps such an int back.  An input weight comes back
-    from a table built on first use; anything else, such as a sum, is
-    reduced from x/D.
+    ``rational`` maps such an int back, reducing x/D by one gcd.
+    ``text`` writes an input weight from a table built on its first
+    call, and reduces anything else, such as a sum, from x/D.
     """
 
     __slots__ = ("denominator", "_weights", "_rationals")
@@ -199,10 +217,7 @@ class WeightScale:
 
     def rational(self, x: int) -> Fraction:
         """The exact rational x/D."""
-        if self.denominator == 1:
-            return Fraction(x)
-        q = self._inputs().get(x)
-        return Fraction(x, self.denominator) if q is None else q
+        return Fraction(x, self.denominator)
 
     def text(self, x: int) -> str:
         """``format_rational(self.rational(x))``, built without a Fraction:

@@ -12,9 +12,10 @@ An idle slot is `S,<t>,-,idle,-,-`.  Absent leap or dweights cells are
 the packet cell is an instance file line, read by
 ``model.packet_from_json``.  Every number follows the grammar of
 :mod:`planpack.golden`, and the integers inside JSON cells are JSON
-integers (not 1.0 or true).  JSON cells contain commas, so S lines are
-parsed with a raw JSON decoder walking the tail of the line rather than
-a comma split.
+integers (not 1.0 or true).  A leap cell holds exactly the keys,
+weights and chain-link cells that ``format_event`` writes.  JSON cells
+contain commas, so S lines are parsed with a raw JSON decoder walking
+the tail of the line rather than a comma split.
 
 In memory, an idle stretch is one event, ``ScheduleEvent.slots`` long;
 in the file it is one idle line per slot.  ``format_trace`` expands it,
@@ -100,9 +101,24 @@ def _leap_json(leap: LeapRecord, scale: WeightScale) -> dict:
     }
 
 
+_LEAP_KEYS = frozenset(
+    ("p", "rho", "ell", "delta", "gamma", "tau0", "rho_virtual", "rho_d", "rho_w", "chain")
+)
+
+
 def _leap_from_json(obj: dict, scale: WeightScale) -> LeapRecord:
+    """The leap record of one JSON cell: exactly the keys ``_leap_json``
+    writes, two weights in rho_w and seven cells in every chain link."""
+    if not isinstance(obj, dict) or obj.keys() != _LEAP_KEYS:
+        raise ValueError(f"leap record keys must be {', '.join(sorted(_LEAP_KEYS))}")
     if type(obj["rho_virtual"]) is not bool:
         raise ValueError("field rho_virtual must be true or false")
+    if type(obj["rho_w"]) is not list or len(obj["rho_w"]) != 2:
+        raise ValueError("field rho_w must hold two weights")
+    if type(obj["chain"]) is not list or any(
+        type(c) is not list or len(c) != 7 for c in obj["chain"]
+    ):
+        raise ValueError("field chain must hold links of seven cells")
     return LeapRecord(
         p_id=json_integer(obj["p"], "p"),
         rho_id=json_integer(obj["rho"], "rho"),

@@ -74,6 +74,24 @@ def w2() -> Instance:
     return validate([mk(1, 0, 0, 5), mk(2, 0, 1, 10), mk(3, 0, 1, 4)])
 
 
+@pytest.fixture
+def leap_chain() -> Instance:
+    """Four packets at slot 0 whose first step is an iterated leap with
+    a chain of one link."""
+    return validate([mk(1, 0, 0, 1), mk(2, 0, 1, 100), mk(3, 0, 2, 50),
+                     mk(4, 0, 2, Fraction(1, 2))])
+
+
+# Edits of leap_chain's planm trace that a lenient reader would take for
+# the unedited run: an extra key, a third rho_w weight, an eighth cell
+# in a chain link.
+LOOSE_LEAP_EDITS = {
+    "leap-extra-key": ('"rho_d":2,', '"rho_d":2,"x":1,'),
+    "rho-w-three-weights": ('"1/1(+1)"],', '"1/1(+1)","1/1(+1)"],'),
+    "chain-link-eight-cells": ('"1/1(-1)"]]', '"1/1(-1)",0]]'),
+}
+
+
 # A pending set observed at time 1 with three filled segments (0,3],
 # (3,4], (4,7]: f,a,b | k | z,p,q in the plan, x pending but excluded
 # even though x outweighs q.  ids follow the listing order.

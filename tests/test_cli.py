@@ -10,7 +10,7 @@ from click.testing import CliRunner
 from planpack.cli import main
 from planpack.model import load_instance, save_instance
 from planpack.offline import optimal_schedule, parse_schedule
-from conftest import FAR, run_cli
+from conftest import FAR, LOOSE_LEAP_EDITS, run_cli
 
 
 @pytest.fixture
@@ -256,6 +256,24 @@ class TestVerify:
         )
         assert result.exit_code == 1
         assert result.output.startswith(f"Error: {path}: ")
+        assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize("canonical, lenient", LOOSE_LEAP_EDITS.values(),
+                             ids=LOOSE_LEAP_EDITS.keys())
+    def test_loose_leap_record_exit_1(self, runner, leap_chain, tmp_path, canonical, lenient):
+        instance = str(tmp_path / "chain.jsonl")
+        save_instance(leap_chain, instance)
+        trace, comparison = self.run_pipeline(runner, instance, tmp_path)
+        with open(trace) as fh:
+            text = fh.read()
+        assert text.count(canonical) == 1
+        with open(trace, "w") as fh:
+            fh.write(text.replace(canonical, lenient))
+        result = runner.invoke(
+            main, ["verify", "--instance", instance, "--trace", trace, "--comparison", comparison],
+        )
+        assert result.exit_code == 1
+        assert result.output.startswith(f"Error: {trace}: trace line 6: ")
         assert "Traceback" not in result.output
 
     def test_greedy_trace_rejected(self, runner, w1_file, tmp_path):

@@ -1,11 +1,12 @@
 """Exact Q[phi] arithmetic against an independent high-precision oracle."""
 
+import math
 import random
 from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from planpack.golden import (
     GoldenNumber,
@@ -77,6 +78,117 @@ def test_sign_agrees_with_float_oracle():
         b = Fraction(rng.randint(-(10**6), 10**6), rng.randint(1, 1000))
         x = GoldenNumber(a, b)
         assert golden_sign(x) == mp_sign(x), f"disagree at {x}"
+
+
+def squaring_sign(x: GoldenNumber) -> int:
+    """Reference: the sign of a + b*phi = (s + b*sqrt5)/2 from s**2 vs
+    5*b**2 alone, with no bracket in front."""
+    a, b = x.a, x.b
+    if b == 0:
+        return (a > 0) - (a < 0)
+    s = 2 * a + b
+    sb = (b > 0) - (b < 0)
+    ss = (s > 0) - (s < 0)
+    if ss == 0 or ss == sb:
+        return sb
+    return ss if s * s > 5 * b * b else sb
+
+
+def from_sb(s, b) -> GoldenNumber:
+    """The golden number (s + b*sqrt5)/2, that is a = (s - b)/2."""
+    a = Fraction(s - b, 2)
+    return GoldenNumber(int(a) if a.denominator == 1 else a, b)
+
+
+# the two Lucas/Fibonacci ratios golden_sign brackets sqrt5 with
+L40, F40 = 228826127, 102334155
+L41, F41 = 370248451, 165580141
+
+
+def lucas_fibonacci(count: int):
+    """(n, L_n, F_n) for n = 0 .. count - 1."""
+    f0, f1 = 0, 1                   # F_n, F_(n+1)
+    for n in range(count):
+        yield n, 2 * f1 - f0, f0
+        f0, f1 = f1, f0 + f1
+
+
+def test_sqrt5_bracket_identities():
+    """L_n**2 - 5*F_n**2 = 4*(-1)**n puts L_40/F_40 above sqrt5 and
+    L_41/F_41 below it."""
+    assert L40**2 - 5 * F40**2 == 4
+    assert L41**2 - 5 * F41**2 == -4
+    assert L41 * F40 < L40 * F41
+    seq = {n: (l, f) for n, l, f in lucas_fibonacci(200)}
+    assert seq[40] == (L40, F40) and seq[41] == (L41, F41)
+    assert all(l * l - 5 * f * f == 4 * (-1) ** n for n, (l, f) in seq.items())
+
+
+# every n up to 300, then a sample of both parities up to about 6,000
+# bits (F_n has about 0.694*n bits)
+HARD_N = 8650
+HARD_NS = {*range(300), *range(300, HARD_N, 97), HARD_N - 2, HARD_N - 1}
+
+
+def test_sign_on_lucas_fibonacci_pairs():
+    """|s|/|b| = L_n/F_n and (L_n +- 1)/F_n are the closest ratios to
+    sqrt5 of their size; from n = 90 on they lie strictly inside the
+    bracket, so golden_sign decides them by squaring."""
+    for n, l, f in lucas_fibonacci(HARD_N):
+        if f == 0 or n not in HARD_NS:
+            continue
+        for s_abs, b_abs, s_wins in (
+            (l, f, n % 2 == 0),
+            (3 * l, 3 * f, n % 2 == 0),
+            ((2**61 - 1) * l, (2**61 - 1) * f, n % 2 == 0),
+            (l + 1, f, n > 1),
+            (l - 1, f, False),
+        ):
+            if n >= 90:
+                assert s_abs * F40 < b_abs * L40 and s_abs * F41 > b_abs * L41
+            for ss, sb in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+                x = from_sb(ss * s_abs, sb * b_abs)
+                want = sb if ss == sb or s_abs == 0 else (ss if s_wins else sb)
+                assert golden_sign(x) == squaring_sign(x) == want, (n, s_abs, ss, sb)
+    assert (2**61 - 1) * l > 2**6000
+
+
+def test_sign_at_zero_parts():
+    for k in (1, 2, 7, 2**5000 + 1, Fraction(1, 3), Fraction(-(2**4000), 7)):
+        for v in (k, -k):
+            want = (v > 0) - (v < 0)
+            for x in (golden(0, v), golden(v, 0), golden(-v, 2 * v), golden(Fraction(-v, 2), v)):
+                assert golden_sign(x) == squaring_sign(x)
+            assert golden_sign(golden(0, v)) == want           # a = 0
+            assert golden_sign(golden(v, 0)) == want           # b = 0
+            assert golden_sign(golden(-v, 2 * v)) == want      # s = 0
+    assert golden_sign(golden(0, 0)) == squaring_sign(golden(0, 0)) == 0
+
+
+big_ints = st.integers(min_value=-(2**5000), max_value=2**5000)
+big_fractions = st.builds(Fraction, big_ints, st.integers(min_value=1, max_value=2**300))
+
+
+@st.composite
+def near_sqrt5(draw, scalars):
+    """(s, b) with |s| within a few units of |b|*sqrt5 and opposite signs,
+    times a common scalar: the pairs the bracket cannot decide."""
+    b = draw(st.integers(min_value=1, max_value=2**5000))
+    s = math.isqrt(5 * b * b) + draw(st.integers(min_value=-3, max_value=3))
+    sign = draw(st.sampled_from((1, -1)))
+    k = draw(scalars)
+    return from_sb(sign * s * k, -sign * b * k)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.builds(GoldenNumber, big_ints, big_ints),
+    st.builds(GoldenNumber, big_fractions, big_fractions),
+    near_sqrt5(st.integers(min_value=1, max_value=2**64)),
+    near_sqrt5(st.fractions(min_value=Fraction(1, 10**6), max_value=10**6)),
+))
+def test_sign_agrees_with_squaring(x):
+    assert golden_sign(x) == squaring_sign(x)
 
 
 def test_mul_defining_identity():

@@ -12,6 +12,8 @@ from planpack.trace_io import TraceSyntaxError, format_trace, parse_trace
 
 from fractions import Fraction
 
+from conftest import LOOSE_LEAP_EDITS
+
 
 W2_TRACE = """\
 H,1,planm
@@ -147,6 +149,20 @@ def test_numbers_off_the_grammar_rejected(canonical, lenient):
     with pytest.raises(TraceSyntaxError) as exc:
         parse_trace(text)
     assert exc.value.line == lineno
+
+
+@pytest.mark.parametrize("canonical, lenient", LOOSE_LEAP_EDITS.values(),
+                         ids=LOOSE_LEAP_EDITS.keys())
+def test_loose_leap_record_rejected(leap_chain, canonical, lenient):
+    """Read without checking the leap record's keys and lengths, each of
+    these texts is the run of leap_chain."""
+    _, trace = run("planm", leap_chain)
+    text = format_trace(trace)
+    assert text.count(canonical) == 1
+    assert parse_trace(text) == trace
+    with pytest.raises(TraceSyntaxError) as exc:
+        parse_trace(text.replace(canonical, lenient))
+    assert exc.value.line == 6
 
 
 def test_error_carries_line_number():
