@@ -83,10 +83,6 @@ class GoldenNumber:
     def __rmul__(self, other: Scalar) -> "GoldenNumber":
         return GoldenNumber(self.a * other, self.b * other)
 
-    def __truediv__(self, other: Scalar) -> "GoldenNumber":
-        q = Fraction(other)
-        return GoldenNumber(self.a / q, self.b / q)
-
     def sign(self) -> int:
         return golden_sign(self)
 

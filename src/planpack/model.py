@@ -170,6 +170,10 @@ def parse_instance(text: str) -> Instance:
             packets.append(packet_from_json(obj))
         except ValueError as exc:
             raise InstanceSyntaxError(lineno, str(exc)) from exc
+        # json keeps the last of a repeated key; a packet's values hold
+        # no ':', so its line has one per key unless a key repeats
+        if line.count(":") != len(obj):
+            raise InstanceSyntaxError(lineno, "a key repeats or a value holds ':'")
     return validate(packets)
 
 

@@ -32,8 +32,8 @@ deadlines there are placed; it is 0 at tau = t - 1 by convention.  A
 slot is tight when its pslack is 0.  Tight slots cut the horizon into
 segments; the first segment is the one that begins at t - 1.  The
 engine keeps the tight slots only, not pslack itself; `SlackProfile`
-gives the tight slots and the slack floor of any multiset of
-deadlines, such as the verifier's backup pools.
+gives the tight slots, the slack floor and the weight of any packets
+in deadline order, such as the verifier's backup pools, in one pass.
 
 refresh() finds the tight slots with one comparison per member.
 Number the members from 0 in deadline order.  Member j and the j
@@ -104,16 +104,14 @@ class InInitSegError(PlanError):
 class PendingPacket:
     """A released, unexpired, untransmitted packet.
 
-    weight and deadline are the current (possibly adjusted) values; the
-    original ones are kept for reporting.  Weights are integers in the
-    run's scaled units.  Negative ids mark materialized zero-weight
-    packets.
+    weight and deadline are the current (possibly adjusted) values;
+    original_weight is the arrival weight, which the original gain
+    counts.  Weights are integers in the run's scaled units.  Negative
+    ids mark materialized zero-weight packets.
     """
 
     id: int
-    release: int
     original_weight: int
-    original_deadline: int
     weight: TaggedWeight
     deadline: int
     in_plan: bool = False
@@ -124,9 +122,7 @@ def _changed(
 ) -> PendingPacket:
     """p with new current values.  The engine builds a new packet rather
     than edit p, which a snapshot may still hold."""
-    return PendingPacket(
-        p.id, p.release, p.original_weight, p.original_deadline, weight, deadline, in_plan
-    )
+    return PendingPacket(p.id, p.original_weight, weight, deadline, in_plan)
 
 
 @dataclass(frozen=True, slots=True)
@@ -181,55 +177,59 @@ def _prevts(tights: list[int], tau: int) -> int:
 
 
 class SlackProfile:
-    """pslack over the slots [t - 1, sentinel] of a multiset of deadlines.
+    """pslack over the slots [start - 1, sentinel] of packets in deadline order.
 
-    pslack(tau) = (tau - t + 1) - #{deadlines <= tau}.  Between two
-    deadlines the profile rises by one per slot, so each such stretch
-    has its minimum at its first slot and at most one zero; building the
-    profile costs O(n log n) in the number of deadlines and each query
-    O(log n), whatever the horizon.
+    pslack(tau) = (tau - start + 1) - #{packets with deadline <= tau}.
+    Between two deadlines the profile rises by one per slot, so each such
+    stretch has its minimum at its first slot and at most one zero; one
+    pass over the packets, with no sort, gives the whole profile, and
+    each query costs O(log n), whatever the horizon.
 
-    A deadline below t counts against every slot, so expired members
-    show up as negative slack from slot t on.  A deadline at or past
-    the sentinel counts against no slot before the sentinel.
+    A deadline below start counts against every slot, so an expired
+    packet shows up as negative slack from slot start on.  A deadline
+    past the sentinel counts against no slot.
 
-    tights holds t - 1, every slot in [t, sentinel) with zero slack
-    (after a negative stretch that need not be a deadline), and the
-    sentinel.  floor is the minimum of 0 and every pslack(tau) for tau
-    in [t, sentinel], with the first slot reaching it (t - 1 when no
-    slot is negative).
+    tights holds start - 1, every slot in [start, sentinel) with zero
+    slack (after a negative stretch that need not be a deadline), and
+    the sentinel.  floor is the minimum of 0 and every pslack(tau) for
+    tau in [start, sentinel], with the first slot reaching it (start - 1
+    when no slot is negative).  weight is the packets' total weight.
     """
 
-    __slots__ = ("tights", "floor")
+    __slots__ = ("tights", "floor", "weight")
 
-    def __init__(self, deadlines: Iterable[int], t: int, sentinel: int) -> None:
-        ds = sorted(deadlines)
-        tights = [t - 1]
-        floor = (0, t - 1)
-        # counting ds[0..j] against slot a = max(ds[j], t) leaves
-        # a - t - j free; at the last j with that deadline this is
-        # pslack(a), which then rises by one per slot until ds[j + 1]
-        for j, d in enumerate(ds):
-            if d > sentinel:
-                break
-            a = d if d > t else t
-            slack = a - t - j
-            if slack <= 0:
-                if slack < floor[0]:
-                    floor = (slack, a)
-                zero = a - slack
-                if zero < sentinel and (j + 1 == len(ds) or zero < ds[j + 1]):
-                    tights.append(zero)
+    def __init__(self, ordered: Iterable[PendingPacket], start: int, sentinel: int) -> None:
+        tights = [start - 1]
+        floor, floor_slot, weight = 0, start - 1, 0
+        # the j-th packet, numbered from start, counts at a = max(d, start).
+        # Once the packets sharing its deadline are counted, pslack(a) is
+        # a - j, so a > j, the common case, leaves slack.  Otherwise pslack
+        # climbs back to 0 at slot j, unless the next packet is due by then:
+        # that one finds a <= j - 1 and takes the zero back.
+        for j, p in enumerate(ordered, start):
+            a = p.deadline
+            weight += p.weight.value
+            if a <= j:
+                if a < start:
+                    a = start
+                if a < j:
+                    if a <= tights[-1]:
+                        tights.pop()
+                    if a - j < floor and a <= sentinel:
+                        floor, floor_slot = a - j, a
+                if j < sentinel:
+                    tights.append(j)
         tights.append(sentinel)
         self.tights = tights
-        self.floor = floor
+        self.floor = (floor, floor_slot)
+        self.weight = weight
 
     def nextts(self, tau: int) -> int:
-        """First tight slot at or after tau, at least t; the sentinel past it."""
+        """First tight slot at or after tau, at least start; the sentinel past it."""
         return _nextts(self.tights, tau)
 
     def prevts(self, tau: int) -> int:
-        """Last tight slot before tau; t - 1 when there is none."""
+        """Last tight slot before tau; start - 1 when there is none."""
         return _prevts(self.tights, tau)
 
 
@@ -310,7 +310,7 @@ class PlanState:
             d = p.deadline
             if d <= close:
                 if d < close:
-                    slot = SlackProfile([q.deadline for q in members], t, H).floor[1]
+                    slot = SlackProfile(members, t, H).floor[1]
                     raise PlanError(f"plan infeasible at slot {slot}")
                 tights.append(d)
                 seg_min.append(low)
@@ -479,16 +479,14 @@ class PlanState:
 
     # events
 
-    def apply_arrival(
-        self, pid: int, release: int, deadline: int, weight: TaggedWeight
-    ) -> ArrivalOutcome:
+    def apply_arrival(self, pid: int, deadline: int, weight: TaggedWeight) -> ArrivalOutcome:
         if pid in self.packets:
             raise PlanError(f"packet id {pid} already pending")
         if not self.t <= deadline < self.sentinel:
             raise PlanError(f"arrival deadline {deadline} outside [{self.t}, {self.sentinel})")
         threshold = self.minwt_packet(deadline)
         admitted = threshold is None or weight > threshold.weight
-        p = PendingPacket(pid, release, weight.value, deadline, weight, deadline, admitted)
+        p = PendingPacket(pid, weight.value, weight, deadline, admitted)
         self.packets[pid] = p
         if not admitted:
             self._nonplan_insert(p)
@@ -528,9 +526,7 @@ class PlanState:
         joined = sub.packet
         if joined is None:
             vid = self.source.sub_zero()
-            rho = PendingPacket(
-                vid, self.t, 0, sub.deadline, TaggedWeight(0, vid), sub.deadline, True
-            )
+            rho = PendingPacket(vid, 0, TaggedWeight(0, vid), sub.deadline, True)
         else:
             rho = _changed(joined, joined.weight, joined.deadline, True)
         self.packets[rho.id] = rho
@@ -584,10 +580,7 @@ class PlanState:
         dup.sentinel = self.sentinel
         dup.source = self.source.clone()
         dup.packets = {
-            pid: PendingPacket(
-                p.id, p.release, p.original_weight, p.original_deadline,
-                p.weight, p.deadline, p.in_plan,
-            )
+            pid: PendingPacket(p.id, p.original_weight, p.weight, p.deadline, p.in_plan)
             for pid, p in self.packets.items()
         }
         dup._members = [p for p in dup.packets.values() if p.in_plan]

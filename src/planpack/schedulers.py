@@ -283,7 +283,7 @@ def run(
         t = state.t
         while i < len(arrivals) and arrivals[i].release == t:
             p = arrivals[i]
-            state.apply_arrival(p.id, p.release, p.deadline, weights[p.id])
+            state.apply_arrival(p.id, p.deadline, weights[p.id])
             events.append(ArrivalEvent(t, p))
             if monitor is not None:
                 monitor.observe(state, f"after arrival of {p.id} at t={t}")

@@ -13,9 +13,10 @@ the packet cell is an instance file line, read by
 ``model.packet_from_json``.  Every number follows the grammar of
 :mod:`planpack.golden`, and the integers inside JSON cells are JSON
 integers (not 1.0 or true).  A leap cell holds exactly the keys,
-weights and chain-link cells that ``format_event`` writes.  JSON cells
-contain commas, so S lines are parsed with a raw JSON decoder walking
-the tail of the line rather than a comma split.
+weights and chain-link cells that ``format_event`` writes, and no key
+of a JSON object repeats.  JSON cells contain commas, so S lines are
+parsed with a raw JSON decoder walking the tail of the line rather
+than a comma split.
 
 In memory, an idle stretch is one event, ``ScheduleEvent.slots`` long;
 in the file it is one idle line per slot.  ``format_trace`` expands it,
@@ -190,6 +191,10 @@ def _take_cell(line: str, pos: int, lineno: int):
     except (RecursionError, ValueError) as exc:
         # nesting too deep, or an integer past Python's digit limit
         raise TraceSyntaxError(lineno, f"bad JSON cell: {exc}") from exc
+    # json keeps the last of a repeated key; no value read here holds a
+    # ':', so an object's text has one per key unless a key repeats
+    if type(value) is dict and line.count(":", pos, end) != len(value):
+        raise TraceSyntaxError(lineno, "bad JSON cell: a key repeats or a value holds ':'")
     return value, end
 
 

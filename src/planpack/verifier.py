@@ -28,9 +28,9 @@ to replay the event.
 One routine, `_backup_pool`, lists every backup pool the audit reads in
 deadline order, from a plan given as packets in deadline order: the
 live plan, a snapshot's, the plan before an arrival, or a leap's
-working plan.  One walk, `_pool_walk`, gives a pool's slack floor and
-weight without a sort; a `SlackProfile` is built only where a
-furlough's release range reads a tight slot (`_cover_range`).
+working plan.  The engine's `SlackProfile` walks a plan or a pool in
+that order once, with no sort, for its slack floor, tight slots and
+weight.
 
 The module never trusts the trace: each op takes the recorded event,
 recomputes it on the mirror and rejects it unless the two are equal in
@@ -417,9 +417,15 @@ class Verifier:
     def _first_furlough(
         self, packets: dict[int, PendingPacket], lo: int, hi: int
     ) -> int | None:
-        """The furlough with the earliest deadline in (lo, hi], ties by id."""
-        pool = self._backup_pool(packets, (), ())
-        found = [(p.deadline, p.id) for p in pool if lo < p.deadline <= hi]
+        """The furlough with the earliest deadline in (lo, hi], ties by id;
+        every furlough must be pending in packets."""
+        found = []
+        for fid in self._furloughed:
+            pkt = packets.get(fid)
+            if pkt is None:
+                self._fail(InvariantViolation, f"furloughed packet {fid} not pending")
+            if lo < pkt.deadline <= hi:
+                found.append((pkt.deadline, fid))
         return min(found)[1] if found else None
 
     def _earliest_furlough(
@@ -462,8 +468,8 @@ class Verifier:
         """
         t, sentinel = reference.t, reference.sentinel
         pool = self._backup_pool(reference.packets, members, claimed)
-        lo = SlackProfile([p.deadline for p in members], t, sentinel).prevts(deadline)
-        hi = SlackProfile([p.deadline for p in pool], t, sentinel).nextts(deadline)
+        lo = SlackProfile(members, t, sentinel).prevts(deadline)
+        hi = SlackProfile(pool, t, sentinel).nextts(deadline)
         return lo, hi
 
     def _restore_backup(
@@ -491,9 +497,9 @@ class Verifier:
         that can still reach it and holds no other slot, and that a
         placeholder does not outweigh the plan threshold; it collects the
         claimed packets.  The backup pool is built from the engine's
-        member list, no furlough may be a plan member, and `_pool_walk`
-        gives the pool's slack floor, which must not be negative, and
-        its weight, which must match the running potential.
+        member list, no furlough may be a plan member, and its
+        `SlackProfile` gives the pool's slack floor, which must not be
+        negative, and its weight, which must match the running potential.
         """
         state = self._state
         t, horizon, packets = state.t, self.instance.horizon, state.packets
@@ -524,10 +530,11 @@ class Verifier:
         for fid in self._furloughed:
             if packets[fid].in_plan:
                 self._fail(InvariantViolation, f"furloughed packet {fid} is in the plan")
-        slack, slot, weight = _pool_walk(pool, t)
+        profile = SlackProfile(pool, t, state.sentinel)
+        slack, slot = profile.floor
         if slack < 0:
             self._fail(InvariantViolation, f"backup pool overfills slot {slot} by {-slack}")
-        scratch = PHI_INV * weight
+        scratch = PHI_INV * profile.weight
         if golden_sign(self._potential - scratch) != 0:
             self._fail(
                 InvariantViolation,
@@ -592,9 +599,7 @@ class Verifier:
             )
         self._compare(event, ArrivalEvent(state.t, packet))
         self._arrived += 1
-        outcome = state.apply_arrival(
-            packet.id, packet.release, packet.deadline, self._weights[packet.id]
-        )
+        outcome = state.apply_arrival(packet.id, packet.deadline, self._weights[packet.id])
         in_comparison = packet.id in self._slot_of
         w_j = self._weights[packet.id].value
         dpsi = ZERO
@@ -1167,8 +1172,9 @@ class Verifier:
         working = window.working
         del working[window.stops[a].id]
         working.update((stop.id, stop.new) for stop in window.stops[a + 1 : b + 2])
-        pool = self._backup_pool(window.pre.packets, window.plan(), self._real_entries())
-        slack, slot, _ = _pool_walk(pool, window.pre.t + 1)
+        pre = window.pre
+        pool = self._backup_pool(pre.packets, window.plan(), self._real_entries())
+        slack, slot = SlackProfile(pool, pre.t + 1, pre.sentinel).floor
         if slack < 0:
             self._fail(
                 InvariantViolation,
@@ -1242,29 +1248,6 @@ class Verifier:
             summary=summary,
             scale=self._scale,
         )
-
-
-def _pool_walk(pool: list[PendingPacket], start: int) -> tuple[int, int, int]:
-    """The slack floor of a backup pool in deadline order, counted from
-    slot start, the slot reaching it, and the pool's weight.
-
-    The floor is that of `SlackProfile` over the pool's deadlines: the
-    minimum of 0 and every pslack from start to the sentinel, at the
-    first slot reaching it, start - 1 if none is negative.  A deadline
-    below start counts at start, as there.  One pass, no sort; every
-    pool deadline is below the sentinel.
-    """
-    floor, floor_slot, weight = 0, start - 1, 0
-    # the pool's j-th packet by deadline leaves pslack(a) = a - (start + j)
-    # at a = max(d, start) once the packets sharing its deadline are counted
-    for j, p in enumerate(pool, start):
-        a = p.deadline
-        if a < start:
-            a = start
-        if a - j < floor:
-            floor, floor_slot = a - j, a
-        weight += p.weight.value
-    return floor, floor_slot, weight
 
 
 def _plan_before(state: PlanState, pid: int, evictee: PendingPacket) -> list[PendingPacket]:

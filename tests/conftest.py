@@ -91,6 +91,16 @@ LOOSE_LEAP_EDITS = {
     "chain-link-eight-cells": ('"1/1(-1)"]]', '"1/1(-1)",0]]'),
 }
 
+# Edits of the W2 instance file and of W2's planm trace that repeat a
+# JSON key.  json keeps the last of a repeated key, so a reader without
+# a check takes each edited file for the unedited one.
+REPEATED_KEY_EDITS = {
+    "instance-packet": ("instance", '{"id":1,"r":0', '{"id":2,"id":1,"r":0'),
+    "arrival-cell": ("trace", 'A,0,{"id":1,"r":0', 'A,0,{"id":2,"id":1,"r":0'),
+    "leap-cell": ("trace", '{"p":2,"rho":3', '{"p":9,"p":2,"rho":3'),
+    "dweights-cell": ("trace", '{"3":"5/1(+1)"}', '{"3":"9/1(+1)","3":"5/1(+1)"}'),
+}
+
 
 # A pending set observed at time 1 with three filled segments (0,3],
 # (3,4], (4,7]: f,a,b | k | z,p,q in the plan, x pending but excluded

@@ -155,7 +155,7 @@ def test_incremental_plan_matches_scratch_recompute():
             if rng.random() < 0.6 or not plan:
                 d = min(state.t + rng.randint(0, 7), horizon - 1)
                 w = Fraction(rng.randint(0, 12), rng.choice([1, 2, 3]))
-                state.apply_arrival(next_id, state.t, d, TaggedWeight(w, src.sub_zero()))
+                state.apply_arrival(next_id, d, TaggedWeight(w, src.sub_zero()))
                 next_id += 1
             else:
                 pid = rng.choice(plan)

@@ -10,7 +10,7 @@ from click.testing import CliRunner
 from planpack.cli import main
 from planpack.model import load_instance, save_instance
 from planpack.offline import optimal_schedule, parse_schedule
-from conftest import FAR, LOOSE_LEAP_EDITS, run_cli
+from conftest import FAR, LOOSE_LEAP_EDITS, REPEATED_KEY_EDITS, run_cli
 
 
 @pytest.fixture
@@ -99,6 +99,16 @@ class TestSimulate:
         assert result.exit_code == 1
         assert "line 1: bad JSON" in result.output
         assert "Traceback" not in result.output
+
+    def test_repeated_key_exits_1(self, runner, w2_file):
+        _, canonical, repeated = REPEATED_KEY_EDITS["instance-packet"]
+        with open(w2_file) as fh:
+            text = fh.read()
+        with open(w2_file, "w") as fh:
+            fh.write(text.replace(canonical, repeated))
+        result = runner.invoke(main, ["simulate", "--instance", w2_file])
+        assert result.exit_code == 1
+        assert result.output.startswith(f"Error: {w2_file}: line 1: a key repeats")
 
     def test_horizon_cap_enforced(self, runner, w2_file, monkeypatch):
         monkeypatch.setenv("SCHED_HORIZON_CAP", "1")
@@ -257,6 +267,25 @@ class TestVerify:
         assert result.exit_code == 1
         assert result.output.startswith(f"Error: {path}: ")
         assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize("which, canonical, repeated", REPEATED_KEY_EDITS.values(),
+                             ids=REPEATED_KEY_EDITS.keys())
+    def test_repeated_json_key_exit_1(self, runner, w2_file, tmp_path, which, canonical,
+                                      repeated):
+        trace, comparison = self.run_pipeline(runner, w2_file, tmp_path)
+        path = {"instance": w2_file, "trace": trace}[which]
+        with open(path) as fh:
+            text = fh.read()
+        assert text.count(canonical) == 1
+        with open(path, "w") as fh:
+            fh.write(text.replace(canonical, repeated))
+        result = runner.invoke(
+            main,
+            ["verify", "--instance", w2_file, "--trace", trace, "--comparison", comparison],
+        )
+        assert result.exit_code == 1
+        assert result.output.startswith(f"Error: {path}: ")
+        assert "a key repeats" in result.output
 
     @pytest.mark.parametrize("canonical, lenient", LOOSE_LEAP_EDITS.values(),
                              ids=LOOSE_LEAP_EDITS.keys())

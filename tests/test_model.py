@@ -26,7 +26,7 @@ from planpack.model import (
     tagged_weight_map,
     validate,
 )
-from conftest import mk
+from conftest import REPEATED_KEY_EDITS, mk
 
 
 def test_w2_validates(w2):
@@ -116,6 +116,15 @@ def test_parse_rejects_weights_off_the_grammar(weight):
     """Each reads, through int(), as a weight that a canonical line also writes."""
     with pytest.raises(InstanceSyntaxError, match="line 1: bad weight"):
         parse_instance(f'{{"id": 1, "r": 0, "d": 1, "w": "{weight}"}}\n')
+
+
+def test_parse_rejects_repeated_key(w2):
+    """Read keeping the last of each key, the edited line is packet 1."""
+    _, canonical, repeated = REPEATED_KEY_EDITS["instance-packet"]
+    text = serialize_instance(w2)
+    assert text.count(canonical) == 1
+    with pytest.raises(InstanceSyntaxError, match="line 1: a key repeats"):
+        parse_instance(text.replace(canonical, repeated))
 
 
 DEEP_JSON = "[" * 100_000 + "]" * 100_000

@@ -122,7 +122,7 @@ def state_from(instance, t=0, sentinel=None) -> PlanState:
     weights = tagged_weight_map(instance, src)
     state = PlanState(t, instance.sentinel if sentinel is None else sentinel, src)
     for p in instance.packets:
-        state.apply_arrival(p.id, p.release, p.deadline, weights[p.id])
+        state.apply_arrival(p.id, p.deadline, weights[p.id])
     return state
 
 
@@ -157,7 +157,7 @@ def test_w1_arrival_outcomes(w1):
     weights = tagged_weight_map(w1, src)
     state = PlanState(0, w1.sentinel, src)
     outcomes = [
-        state.apply_arrival(p.id, p.release, p.deadline, weights[p.id])
+        state.apply_arrival(p.id, p.deadline, weights[p.id])
         for p in w1.packets
     ]
     assert [(o.admitted, o.evicted_id) for o in outcomes] == [
@@ -174,7 +174,7 @@ def test_rejected_arrival_makes_no_refresh(w1, plan_calls):
     work = []
     for p in w1.packets:
         plan_calls.clear()
-        out = state.apply_arrival(p.id, p.release, p.deadline, weights[p.id])
+        out = state.apply_arrival(p.id, p.deadline, weights[p.id])
         work.append((out.admitted, plan_calls["refresh"]))
     assert work == [(True, 1), (True, 1), (False, 0), (True, 1)]
     assert [q.id for q in state._nonplan] == [3]
@@ -183,7 +183,7 @@ def test_rejected_arrival_makes_no_refresh(w1, plan_calls):
 
 def test_w1_heavier_arrival_evicts_threshold_packet(w1):
     state = state_from(w1)
-    out = state.apply_arrival(9, 0, 1, TaggedWeight(Fraction(6), -9))
+    out = state.apply_arrival(9, 1, TaggedWeight(Fraction(6), -9))
     assert out.admitted and out.evicted_id == 1
     assert state.plan_ids() == {9, 2, 4}
     assert sum(state.packets[pid].weight.value for pid in state.plan_ids()) == 15
@@ -192,7 +192,7 @@ def test_w1_heavier_arrival_evicts_threshold_packet(w1):
 
 def test_w1_light_arrival_rejected(w1):
     state = state_from(w1)
-    out = state.apply_arrival(9, 0, 1, TaggedWeight(Fraction(1, 2), -9))
+    out = state.apply_arrival(9, 1, TaggedWeight(Fraction(1, 2), -9))
     assert not out.admitted
     assert state.plan_ids() == {1, 2, 4}
     check_against_oracles(state)
@@ -275,7 +275,7 @@ def test_fig1_membership_ignores_arrival_order(fig1):
         rng.shuffle(packets)
         state = PlanState(1, fig1.sentinel, TiebreakSource())
         for p in packets:
-            state.apply_arrival(p.id, p.release, p.deadline, TaggedWeight(p.weight, -p.id))
+            state.apply_arrival(p.id, p.deadline, TaggedWeight(p.weight, -p.id))
         if reference is None:
             reference = state.plan_ids()
         assert state.plan_ids() == reference == {1, 2, 3, 4, 5, 6, 7}
@@ -286,14 +286,14 @@ def build(entries, t=0, sentinel=None):
     H = (max(d for _, d, _ in entries) + 1) if sentinel is None else sentinel
     state = PlanState(t, H, TiebreakSource())
     for pid, d, w in entries:
-        state.apply_arrival(pid, t, d, TaggedWeight(Fraction(w), -pid))
+        state.apply_arrival(pid, d, TaggedWeight(Fraction(w), -pid))
     return state
 
 
 def test_arrival_splits_segment_with_new_tight_slot():
     state = build([(1, 1, 1), (2, 1, 5)])
     assert state.tights == [-1, 1, 2]
-    out = state.apply_arrival(3, 0, 0, TaggedWeight(Fraction(3), -3))
+    out = state.apply_arrival(3, 0, TaggedWeight(Fraction(3), -3))
     assert out.admitted and out.evicted_id == 1
     assert state.tights == [-1, 0, 1, 2]
     check_against_oracles(state)
@@ -301,7 +301,7 @@ def test_arrival_splits_segment_with_new_tight_slot():
 
 def test_arrival_into_slack_tail_is_pure_add():
     state = build([(1, 2, 4), (2, 2, 6)])
-    out = state.apply_arrival(3, 0, 0, TaggedWeight(Fraction(5), -3))
+    out = state.apply_arrival(3, 0, TaggedWeight(Fraction(5), -3))
     assert out.admitted and out.evicted_id is None
     assert state.plan_ids() == {1, 2, 3}
     assert 0 in state.tights
@@ -379,9 +379,9 @@ def test_errors():
     with pytest.raises(OutOfRangeError):
         state.nextts(state.sentinel + 1)
     with pytest.raises(PlanError):
-        state.apply_arrival(1, 0, 1, TaggedWeight(Fraction(1), -9))
+        state.apply_arrival(1, 1, TaggedWeight(Fraction(1), -9))
     with pytest.raises(PlanError):
-        state.apply_arrival(9, 0, state.sentinel, TaggedWeight(Fraction(1), -9))
+        state.apply_arrival(9, state.sentinel, TaggedWeight(Fraction(1), -9))
     with pytest.raises(PlanError):
         state.advance_idle(1)
 
@@ -441,7 +441,7 @@ def test_random_event_sequences_match_oracles(seed):
             d = min(state.t + rng.randint(0, 7), H - 1)
             w = Fraction(rng.randint(0, 12), rng.choice([1, 2, 3]))
             minwt_before = [state.minwt(tau) for tau in range(state.t, H + 1)]
-            state.apply_arrival(next_id, state.t, d, TaggedWeight(w, src.sub_zero()))
+            state.apply_arrival(next_id, d, TaggedWeight(w, src.sub_zero()))
             minwt_after = [state.minwt(tau) for tau in range(state.t, H + 1)]
             assert all(a >= b for a, b in zip(minwt_after, minwt_before))
             next_id += 1
@@ -496,7 +496,7 @@ def check_member_list(state: PlanState) -> None:
     assert {id(p) for p in members} == {id(p) for p in flagged}
     deadlines = [p.deadline for p in members]
     assert deadlines == sorted(deadlines)
-    assert state.tights == SlackProfile(deadlines, state.t, state.sentinel).tights
+    assert state.tights == SlackProfile(members, state.t, state.sentinel).tights
 
 
 def replay(ops, sentinel: int = 24) -> Counter:
@@ -531,7 +531,7 @@ def replay(ops, sentinel: int = 24) -> Counter:
         sent = None
         if kind == "arrive":
             d = min(state.t + a, sentinel - 1)
-            out = state.apply_arrival(pid, state.t, d, TaggedWeight(b % 4, src.sub_zero()))
+            out = state.apply_arrival(pid, d, TaggedWeight(b % 4, src.sub_zero()))
             seen["evicted" if out.evicted_id is not None else
                  "admitted" if out.admitted else "rejected"] += 1
         elif kind == "initseg" and first:

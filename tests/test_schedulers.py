@@ -88,7 +88,7 @@ def build(entries, sentinel=None):
     H = (max(d for _, d, _ in entries) + 1) if sentinel is None else sentinel
     state = PlanState(0, H)
     for pid, d, w in entries:
-        state.apply_arrival(pid, 0, d, TaggedWeight(Fraction(w), state.source.sub_zero()))
+        state.apply_arrival(pid, d, TaggedWeight(Fraction(w), state.source.sub_zero()))
     return state
 
 

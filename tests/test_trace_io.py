@@ -12,7 +12,7 @@ from planpack.trace_io import TraceSyntaxError, format_trace, parse_trace
 
 from fractions import Fraction
 
-from conftest import LOOSE_LEAP_EDITS
+from conftest import LOOSE_LEAP_EDITS, REPEATED_KEY_EDITS
 
 
 W2_TRACE = """\
@@ -163,6 +163,22 @@ def test_loose_leap_record_rejected(leap_chain, canonical, lenient):
     with pytest.raises(TraceSyntaxError) as exc:
         parse_trace(text.replace(canonical, lenient))
     assert exc.value.line == 6
+
+
+TRACE_KEY_EDITS = {k: v[1:] for k, v in REPEATED_KEY_EDITS.items() if v[0] == "trace"}
+
+
+@pytest.mark.parametrize("canonical, repeated", TRACE_KEY_EDITS.values(),
+                         ids=TRACE_KEY_EDITS.keys())
+def test_repeated_json_key_rejected(canonical, repeated):
+    """Read keeping the last of each key, each of these texts is the W2
+    run: an arrival cell, a leap cell and a dweights cell."""
+    assert W2_TRACE.count(canonical) == 1
+    text = W2_TRACE.replace(canonical, repeated)
+    lineno = next(i for i, line in enumerate(text.splitlines(), 1) if repeated in line)
+    with pytest.raises(TraceSyntaxError, match="a key repeats") as exc:
+        parse_trace(text)
+    assert exc.value.line == lineno
 
 
 def test_error_carries_line_number():

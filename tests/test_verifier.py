@@ -34,7 +34,6 @@ from planpack.verifier import (
     TraceMismatch,
     Verifier,
     VerifierError,
-    _pool_walk,
     verify_trace,
 )
 
@@ -396,17 +395,36 @@ def test_fractional_weights_sweep():
             assert summary.bound_margin == PHI * trace.gain0 - comparison.weight0
 
 
-# the pool walk and the cover ranges against the pool rebuilt as a list
+# the audit's slack profiles against the pool rebuilt as a list and
+# recounted from the definition
+
+
+def pslack_def(pool, start: int, tau: int) -> int:
+    """pslack of slot tau counted from slot start; a packet due before
+    start counts against every slot."""
+    return (tau - start + 1) - sum(1 for p in pool if p.deadline <= tau)
+
+
+def tights_def(pool, start: int, sentinel: int) -> list[int]:
+    real = [tau for tau in range(start, sentinel) if pslack_def(pool, start, tau) == 0]
+    return [start - 1] + real + [sentinel]
 
 
 def rebuilt_floor(furloughs, members, claimed, start, sentinel) -> tuple[int, int, int]:
-    """The backup pool listed as before the one-pass walk: every
-    furlough, then every member no timetable entry claims, handed to
-    SlackProfile from slot start.  Returns its floor, the floor's slot
-    and its weight."""
+    """The backup pool listed without the audit's builder: every
+    furlough, then every member no timetable entry claims.  Returns its
+    slack floor from slot start, recounted slot by slot, the first slot
+    reaching it (start - 1 when none is negative) and its weight."""
     pool = list(furloughs) + [p for p in members if p.id not in claimed]
-    slack, slot = SlackProfile([p.deadline for p in pool], start, sentinel).floor
-    return slack, slot, sum(p.weight.value for p in pool)
+    slacks = [pslack_def(pool, start, tau) for tau in range(start, sentinel + 1)]
+    floor = min([0] + slacks)
+    slot = start - 1 if floor == 0 else start + slacks.index(floor)
+    return floor, slot, sum(p.weight.value for p in pool)
+
+
+def walked(profile: SlackProfile) -> tuple[int, int, int]:
+    """A profile's floor, floor slot and weight."""
+    return (*profile.floor, profile.weight)
 
 
 def rebuilt_pool(verifier: Verifier) -> tuple[int, int, int]:
@@ -421,7 +439,7 @@ def walked_pool(verifier: Verifier) -> tuple[int, int, int]:
     """The live backup pool's floor, floor slot and weight, walked."""
     state = verifier._state
     pool = verifier._backup_pool(state.packets, state.iter_members(), verifier._real_entries())
-    return _pool_walk(pool, state.t)
+    return walked(SlackProfile(pool, state.t, state.sentinel))
 
 
 def sampled_audits(seed: int, rng: random.Random):
@@ -493,19 +511,20 @@ def test_working_pool_walk_matches_the_rebuilt_pool(seed, monkeypatch):
     rng = random.Random(8200 + seed)
     seen: Counter = Counter()
     inject = False
-    walks = []
+    profiles = []
     advance_working = Verifier._advance_working
 
-    def recorded_walk(pool, start):
-        walks.append(_pool_walk(pool, start))
-        return walks[-1]
+    def recorded_profile(pool, start, sentinel):
+        profiles.append(SlackProfile(pool, start, sentinel))
+        return profiles[-1]
 
     def checked(verifier, window, a, b):
         advance_working(verifier, window, a, b)
         pre, claimed = window.pre, verifier._real_entries()
         members = list(window.working.values())
         furloughs = [pre.packets[fid] for fid in verifier._furloughed]
-        assert walks[-1] == rebuilt_floor(furloughs, members, claimed, pre.t + 1, pre.sentinel)
+        expected = rebuilt_floor(furloughs, members, claimed, pre.t + 1, pre.sentinel)
+        assert walked(profiles[-1]) == expected
         seen["advances"] += 1
         seen["furloughs"] += bool(furloughs)
         spare = spare_packets(verifier, pre.packets)
@@ -513,7 +532,7 @@ def test_working_pool_walk_matches_the_rebuilt_pool(seed, monkeypatch):
             extra = rng.sample(spare, rng.randint(1, len(spare)))
             verifier._furloughed.update(extra)
             pool = verifier._backup_pool(pre.packets, window.plan(), claimed)
-            walk = _pool_walk(pool, pre.t + 1)
+            walk = walked(SlackProfile(pool, pre.t + 1, pre.sentinel))
             furloughs += [pre.packets[fid] for fid in extra]
             assert walk == rebuilt_floor(furloughs, members, claimed, pre.t + 1, pre.sentinel)
             verifier._furloughed.difference_update(extra)
@@ -521,7 +540,7 @@ def test_working_pool_walk_matches_the_rebuilt_pool(seed, monkeypatch):
             seen["due at t"] += any(pre.packets[fid].deadline == pre.t for fid in extra)
             seen["overfull"] += walk[0] < 0
 
-    monkeypatch.setattr(verifier_module, "_pool_walk", recorded_walk)
+    monkeypatch.setattr(verifier_module, "SlackProfile", recorded_profile)
     monkeypatch.setattr(Verifier, "_advance_working", checked)
     for n, inst, trace, comparison in sampled_audits(seed, rng):
         inject = n % 2 == 1
@@ -536,7 +555,8 @@ def test_cover_ranges_match_the_rebuilt_pool(seed, monkeypatch):
     of the rebuilt pool give.  The plan is the one before the arrival on
     an arrival, the plan before the transmission at an adversary step
     or in a leap's first segment, and the working plan in a middle
-    group."""
+    group.  The expected ranges come from the tight slots of the plan
+    and of the rebuilt pool, recounted from the definition."""
     rng = random.Random(8300 + seed)
     seen: Counter = Counter()
     context = {}
@@ -547,8 +567,8 @@ def test_cover_ranges_match_the_rebuilt_pool(seed, monkeypatch):
         furloughs = [reference.packets[fid] for fid in verifier._furloughed]
         pool = furloughs + [p for p in members if p.id not in claimed]
         expected = (
-            SlackProfile([p.deadline for p in members], t, sentinel).prevts(deadline),
-            SlackProfile([p.deadline for p in pool], t, sentinel).nextts(deadline),
+            max(s for s in tights_def(members, t, sentinel) if s < deadline),
+            min(s for s in tights_def(pool, t, sentinel)[1:] if s >= deadline),
         )
         deadlines = [p.deadline for p in members]
         assert deadlines == sorted(deadlines)
@@ -599,7 +619,10 @@ def test_slack_helpers_match_recount(deadlines, t):
     def counted(tau):
         return sum(1 for d in deadlines if d <= tau)
 
-    profile = SlackProfile(deadlines, t, sentinel)
+    ordered = [
+        PendingPacket(i, 1, TaggedWeight(2**i, i), d) for i, d in enumerate(sorted(deadlines))
+    ]
+    profile = SlackProfile(ordered, t, sentinel)
     direct = [(tau - t + 1) - counted(tau) for tau in range(t, sentinel + 1)]
 
     slack, slot = profile.floor
@@ -610,14 +633,7 @@ def test_slack_helpers_match_recount(deadlines, t):
     else:
         assert slot == t - 1
 
-    # a backup pool holds only deadlines below the sentinel; over those
-    # the audit's one-pass walk must give the same floor
-    if all(d < sentinel for d in deadlines):
-        pool = [
-            PendingPacket(i, 0, 1, d, TaggedWeight(1, i), d)
-            for i, d in enumerate(sorted(deadlines))
-        ]
-        assert _pool_walk(pool, t) == (slack, slot, len(pool))
+    assert profile.weight == 2 ** len(ordered) - 1
 
     tights = profile.tights
     expected = [
@@ -730,6 +746,11 @@ class TestRejection:
         one_claim._furloughed.add(9)
         with pytest.raises(InvariantViolation, match="furloughed packet 9 not pending"):
             one_claim._post_event_checks()
+
+    def test_furlough_search_finds_a_furlough_not_pending(self, one_claim):
+        one_claim._furloughed.add(9)
+        with pytest.raises(InvariantViolation, match="furloughed packet 9 not pending"):
+            one_claim._first_furlough(one_claim._state.packets, -1, 9)
 
     def test_furlough_in_the_plan(self, one_claim):
         assert 2 in one_claim._state.plan_ids()
