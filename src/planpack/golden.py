@@ -175,21 +175,30 @@ class WeightScale:
     """The common denominator D of a collection of rational weights.
 
     D is the lcm of the weights' denominators, 1 when they are all
-    integers.  ``scaled`` maps a rational w to the int w*D and
+    integers.  It is built largest denominator first, so a denominator
+    that already divides D costs one ``%`` and no gcd.  ``scaled`` maps
+    a rational w to the int w*D, keeping D // den for each denominator
+    it has met, so each distinct denominator costs one ``divmod``.
     ``rational`` maps such an int back, reducing x/D by one gcd.
     ``text`` writes an input weight from a table built on its first
     call, and reduces anything else, such as a sum, from x/D.
     """
 
-    __slots__ = ("denominator", "_weights", "_rationals")
+    __slots__ = ("denominator", "_weights", "_rationals", "_factors")
 
     def __init__(self, weights: Iterable[Fraction]) -> None:
         self._weights = tuple(weights)
         self._rationals: dict[int, Fraction] | None = None
-        self.denominator = math.lcm(*{w.denominator for w in self._weights})
+        self._factors: dict[int, int] = {}
+        d = 1
+        for den in sorted({w.denominator for w in self._weights}, reverse=True):
+            if d % den:
+                d = math.lcm(d, den)
+        self.denominator = d
 
     def __eq__(self, other: object) -> bool:
-        # the table only caches x/D, so D alone fixes what a scale means
+        # the tables only cache x/D and D // den, so D alone fixes what
+        # a scale means
         if not isinstance(other, WeightScale):
             return NotImplemented
         return self.denominator == other.denominator
@@ -199,11 +208,14 @@ class WeightScale:
 
     def scaled(self, w: Scalar) -> int:
         """w*D; ValueError unless w is a multiple of 1/D."""
-        k, r = divmod(self.denominator, w.denominator)
-        if r:
-            raise ValueError(
-                f"weight {format_rational(w)} is not a multiple of 1/{self.denominator}"
-            )
+        k = self._factors.get(w.denominator)
+        if k is None:
+            k, r = divmod(self.denominator, w.denominator)
+            if r:
+                raise ValueError(
+                    f"weight {format_rational(w)} is not a multiple of 1/{self.denominator}"
+                )
+            self._factors[w.denominator] = k
         return w.numerator * k
 
     def _inputs(self) -> dict[int, Fraction]:
@@ -271,11 +283,13 @@ def format_rational(q: Fraction) -> str:
 # unsigned denominator, and a sign on every tiebreak.  int() alone would
 # also take blanks, "+", "_" and non-ASCII digits, and so read distinct
 # files as one run.  Leading zeros and unreduced fractions are accepted.
-_INTEGER = r"-?[0-9]+"
-_RATIONAL = rf"{_INTEGER}/[0-9]+"
+# INTEGER and RATIONAL are the pattern texts; the packet-line lanes of
+# model and trace_io are built from them.
+INTEGER = r"-?[0-9]+"
+RATIONAL = rf"{INTEGER}/[0-9]+"
 _TIEBREAK = r"[+-][0-9]+"
-_INTEGER_RE = re.compile(_INTEGER)
-_RATIONAL_RE = re.compile(_RATIONAL)
+_INTEGER_RE = re.compile(INTEGER)
+_RATIONAL_RE = re.compile(RATIONAL)
 
 
 def parse_integer(text: str) -> int:
@@ -294,6 +308,8 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"bad rational {text!r}")
     num, _, den = text.partition("/")
     d = int(den)
+    if d == 1:
+        return Fraction(int(num))   # no gcd to take
     if d == 0:
         raise ValueError(f"zero denominator in {text!r}")
     return Fraction(int(num), d)
@@ -303,7 +319,7 @@ def format_golden(x: GoldenNumber) -> str:
     return f"{format_rational(x.a)}+{format_rational(x.b)}*phi"
 
 
-_GOLDEN_RE = re.compile(rf"({_RATIONAL})\+({_RATIONAL})\*phi")
+_GOLDEN_RE = re.compile(rf"({RATIONAL})\+({RATIONAL})\*phi")
 
 
 def parse_golden(text: str) -> GoldenNumber:
@@ -318,7 +334,7 @@ def format_tagged(w: TaggedWeight, scale: WeightScale) -> str:
     return f"{format_rational(scale.rational(w.value))}({w.tiebreak:+d})"
 
 
-_TAGGED_RE = re.compile(rf"({_RATIONAL})\(({_TIEBREAK})\)")
+_TAGGED_RE = re.compile(rf"({RATIONAL})\(({_TIEBREAK})\)")
 
 
 def parse_tagged(text: str, scale: WeightScale) -> TaggedWeight:

@@ -6,18 +6,29 @@ works on them as integers over the instance's common denominator
 (:attr:`Instance.scale`).  The order-only tiebreaks that make weights
 pairwise distinct are not part of the instance; they are assigned per
 run, in validation order, by :class:`planpack.golden.TiebreakSource`.
+
+An instance file holds one packet per line.  ``serialize_packet``
+writes every line in one canonical form, ``{"id":I,"r":R,"d":D,"w":"N/M"}``
+with no blanks, which :func:`parse_instance` reads on a lane: one
+compiled pattern (:data:`PACKET_CELL`) and no JSON, converting each
+distinct weight text once per file.  Any other line, and a canonical
+one whose numbers ``int`` or ``parse_rational`` refuse, is read as JSON
+by ``packet_from_json``, which gives every error message; both paths
+take the same grammar.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable
 
 from planpack.golden import (
+    RATIONAL,
     TaggedWeight,
     TiebreakSource,
     WeightScale,
@@ -100,7 +111,7 @@ def validate(packets: Iterable[Packet]) -> Instance:
             raise DeadlineBeforeReleaseError(
                 f"packet {p.id}: deadline {p.deadline} < release {p.release}"
             )
-        if p.weight < 0:
+        if p.weight.numerator < 0:
             raise NegativeWeightError(f"packet {p.id}: negative weight {p.weight}")
         horizon = max(horizon, p.deadline)
     cap = os.environ.get(HORIZON_CAP_ENV)
@@ -153,12 +164,43 @@ def packet_from_json(obj: object) -> Packet:
     )
 
 
+# JSON's integer: no leading zeros, and no "+"
+_JSON_INTEGER = r"-?(?:0|[1-9][0-9]*)"
+# the packet cell serialize_packet writes; groups id, r, d and w
+PACKET_CELL = (
+    rf'\{{"id":({_JSON_INTEGER}),"r":({_JSON_INTEGER}),"d":({_JSON_INTEGER}),'
+    rf'"w":"({RATIONAL})"\}}'
+)
+_PACKET_LINE = re.compile(PACKET_CELL)
+
+
+def canonical_packet(
+    id_text: str, r_text: str, d_text: str, w_text: str, weights: dict[str, Fraction]
+) -> Packet:
+    """The packet of a canonical cell's four groups, with its weight
+    taken from, or added to, weights (one reader's texts so far);
+    ValueError on an integer past Python's digit limit or a zero
+    denominator, for the JSON path to report."""
+    weight = weights.get(w_text)
+    if weight is None:
+        weight = weights[w_text] = parse_rational(w_text)
+    return Packet(int(id_text), int(r_text), int(d_text), weight)
+
+
 def parse_instance(text: str) -> Instance:
     packets = []
+    weights: dict[str, Fraction] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
+        m = _PACKET_LINE.fullmatch(line)
+        if m is not None:
+            try:
+                packets.append(canonical_packet(*m.groups(), weights))
+                continue
+            except ValueError:
+                pass        # the JSON path below gives the message
         try:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:

@@ -9,8 +9,14 @@ Format, one event per line:
 
 An idle slot is `S,<t>,-,idle,-,-`.  Absent leap or dweights cells are
 `-`.  Weights inside the JSON cells are exact "num/den(+tb)" strings;
-the packet cell is an instance file line, read by
-``model.packet_from_json``.  Every number follows the grammar of
+the packet cell is an instance file line.  ``format_event`` writes every
+A line as ``A,<t>,`` and the canonical instance line, and
+``parse_trace`` reads that form on a lane: one compiled pattern
+(``model.PACKET_CELL`` behind the time) and no JSON, converting each
+distinct weight text once per file.  Any other A line, and a canonical
+one whose numbers ``int`` or ``parse_rational`` refuse, is read by
+``model.packet_from_json``, which gives every error message.  Every
+number follows the grammar of
 :mod:`planpack.golden`, and the integers inside JSON cells are JSON
 integers (not 1.0 or true).  A leap cell holds exactly the keys,
 weights and chain-link cells that ``format_event`` writes, and no key
@@ -34,9 +40,11 @@ lines are built with it.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .golden import (
+    INTEGER,
     WeightScale,
     format_rational,
     format_tagged,
@@ -44,7 +52,13 @@ from .golden import (
     parse_rational,
     parse_tagged,
 )
-from .model import json_integer, packet_from_json, serialize_packet
+from .model import (
+    PACKET_CELL,
+    canonical_packet,
+    json_integer,
+    packet_from_json,
+    serialize_packet,
+)
 from .schedulers import (
     ArrivalEvent,
     ChainLink,
@@ -177,6 +191,9 @@ def format_trace(trace: RunTrace) -> str:
 
 _decoder = json.JSONDecoder()
 
+# what format_event writes after "A,": the time, then the packet cell
+_ARRIVAL = re.compile(rf"({INTEGER}),{PACKET_CELL}")
+
 
 def _take_cell(line: str, pos: int, lineno: int):
     """Parse one `-` or JSON cell starting at pos; returns (value, next pos)."""
@@ -225,6 +242,7 @@ def parse_trace(text: str) -> RunTrace:
     # ArrivalEvents, idle stretches as [t, slots], and other S lines as
     # records until the scale is known
     events: list = []
+    weights: dict[str, Fraction] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -242,6 +260,14 @@ def parse_trace(text: str) -> RunTrace:
                 raise TraceSyntaxError(lineno, "missing algorithm")
             continue
         if tag == "A":
+            m = _ARRIVAL.fullmatch(rest)
+            if m is not None:
+                t_text, *groups = m.groups()
+                try:
+                    events.append(ArrivalEvent(int(t_text), canonical_packet(*groups, weights)))
+                    continue
+                except ValueError:
+                    pass    # the JSON path below gives the message
             t_text, _, cell = rest.partition(",")
             obj, end = _take_cell(cell, 0, lineno)
             if obj is None or end != len(cell):

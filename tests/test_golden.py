@@ -262,6 +262,36 @@ def test_weight_scale_round_trip():
     assert WeightScale([Fraction(1, 2)]) != WeightScale([Fraction(1, 3)])
 
 
+# n*f/(d*f): a weight written unreduced, which Fraction reduces to n/d
+unreduced = st.builds(
+    lambda n, d, f: Fraction(n * f, d * f),
+    st.integers(0, 10**40), st.sampled_from([1, 2, 3, 6, 7, 10, 12, 610, 372100, 2**61 - 1]),
+    st.integers(1, 50),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(unreduced, max_size=12), st.randoms(use_true_random=False), unreduced)
+def test_weight_scale_is_the_lcm_in_any_order(weights, rnd, probe):
+    weights = weights + weights[: len(weights) // 2]      # duplicates
+    rnd.shuffle(weights)
+    scale = WeightScale(weights)
+    d = math.lcm(*(w.denominator for w in weights))
+    assert scale.denominator == d
+    for w in weights + weights:                           # each twice, any order
+        assert scale.scaled(w) == w * d
+    # a weight off the 1/D grid fails alike every time: no factor is kept
+    if d % probe.denominator:
+        errors = []
+        for _ in range(2):
+            with pytest.raises(ValueError) as exc:
+                scale.scaled(probe)
+            errors.append(str(exc.value))
+        assert errors[0] == errors[1]
+    else:
+        assert scale.scaled(probe) == scale.scaled(probe) == probe * d
+
+
 def test_tiebreak_counters():
     src = TiebreakSource()
     assert src.fresh() == 1

@@ -4,10 +4,14 @@ they share takes exactly its strings; and every writer's output reads
 back as what was written."""
 
 import json
+import re
 from fractions import Fraction
+from unittest.mock import patch
 
+import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from planpack import model, trace_io
 from planpack.generators import GeneratorConfig, KINDS as GENERATOR_KINDS, generate
 from planpack.golden import (
     GoldenNumber,
@@ -279,3 +283,137 @@ def test_unreduced_fractions_are_read_in_every_file(w2):
          ('{"3":"5/1(+1)"}', '{"3":"10/2(+1)"}'), ("G,14/1", "G,28/2")],
         [("W,15/1", "W,45/3")],
     ))
+
+
+# -- the canonical-line lane ---------------------------------------------
+#
+# parse_instance and parse_trace read a line in the form serialize_packet
+# writes without JSON.  On any line, canonical or not, they must do what
+# the JSON path alone does: the same packet, or the same error type and
+# message.  The JSON path alone is the reader with its lane pattern
+# replaced by one that never matches.
+
+NEVER = re.compile(r"(?!)")
+
+FIELDS = ("id", "r", "d")
+OVER_LIMIT = "9" * 4301     # past Python's int-from-text digit limit
+
+
+def _set_value(line: str, key: str, value: str) -> str:
+    """line with key's first value replaced (a weight keeps its quotes)."""
+    if key == "w":
+        return re.sub(r'"w":"[^"]*"', lambda _: f'"w":"{value}"', line, count=1)
+    return re.sub(rf'"{key}":[^,}}]*', lambda _: f'"{key}":{value}', line, count=1)
+
+
+def _value(line: str, key: str) -> str:
+    """key's first value, "" once an earlier mutation hid the key."""
+    m = re.search(rf'"{key}":"?([^,}}"]*)', line)
+    return "" if m is None else m.group(1)
+
+
+def _pairs(line: str, k: int) -> list[str]:
+    """The line's comma-separated pairs, rotated by k."""
+    pairs = line[1:-1].split(",")
+    k %= len(pairs)
+    return pairs[k:] + pairs[:k]
+
+
+# each mutation maps (line, k) to a line; k picks a field or a position
+MUTATIONS = {
+    "leading zero": lambda line, k: _set_value(
+        line, FIELDS[k % 3], re.sub(r"^(-?)", r"\g<1>0", _value(line, FIELDS[k % 3]))),
+    "minus zero": lambda line, k: _set_value(line, FIELDS[k % 3], "-0"),
+    "weight leading zero": lambda line, k: _set_value(
+        line, "w", "0" + _value(line, "w") if k % 2 else _value(line, "w").replace("/", "/0")),
+    "zero denominator": lambda line, k: _set_value(
+        line, "w", _value(line, "w").partition("/")[0] + "/0"),
+    "over the digit limit": lambda line, k: (
+        _set_value(line, FIELDS[k % 3], OVER_LIMIT) if k % 5 < 3
+        else _set_value(line, "w", f"{OVER_LIMIT}/1" if k % 5 == 3 else f"1/{OVER_LIMIT}")),
+    "blank": lambda line, k: line[: k % (len(line) + 1)] + " " + line[k % (len(line) + 1):],
+    "crlf": lambda line, k: line + "\r\n",
+    "carriage return inside": lambda line, k: line[: k % len(line)] + "\r" + line[k % len(line):],
+    "line separator": lambda line, k: (
+        line[: k % (len(line) + 1)] + "\u2028" + line[k % (len(line) + 1):]),
+    "keys reordered": lambda line, k: "{%s}" % ",".join(_pairs(line, k)),
+    "key repeated": lambda line, k: line[:-1] + "," + _pairs(line, k)[0] + "}",
+    "float": lambda line, k: _set_value(
+        line, FIELDS[k % 3], _value(line, FIELDS[k % 3]) + ".0"),
+    "true": lambda line, k: _set_value(line, FIELDS[k % 3], "true"),
+    "trailing comma": lambda line, k: line[:-1] + ",}",
+}
+
+# the time in front of an arrival cell, as written and mutated
+ARRIVAL_TIMES = st.one_of(
+    st.builds(str, st.integers(-3, 10**6)),
+    st.sampled_from(["007", "-0", " 1", "+1", "1.0", OVER_LIMIT]),
+)
+
+
+@st.composite
+def lane_lines(draw):
+    """A canonical packet line, then a few mutations of it."""
+    ints = st.integers(-3, 10**9)
+    line = (
+        f'{{"id":{draw(ints)},"r":{draw(ints)},"d":{draw(ints)},'
+        f'"w":"{draw(st.integers(-3, 10**30))}/{draw(st.integers(1, 10**6))}"}}'
+    )
+    for name in draw(st.lists(st.sampled_from(sorted(MUTATIONS)), max_size=3)):
+        line = MUTATIONS[name](line, draw(st.integers(0, 100)))
+    return line
+
+
+def _outcome(read, text):
+    try:
+        return "read", read(text)
+    except Exception as exc:        # the JSON path's own type and message
+        return type(exc), str(exc)
+
+
+@FUZZ
+@given(lane_lines(), st.one_of(ARRIVAL_TIMES, st.none()))
+@example('{"id":01,"r":0,"d":0,"w":"1/1"}', "0")
+@example('{"id":-0,"r":0,"d":0,"w":"007/01"}', "-0")
+@example('{"id":1,"r":0,"d":0,"w":" 1/1"}', "0")
+@example('{"id":1,"r":0,"d":0,"w":"1/0"}', "0")
+@example('{"id":%s,"r":0,"d":0,"w":"1/1"}' % OVER_LIMIT, "0")
+@example('{"id":1,"r":0,"d":0,"w":"%s/1"}' % OVER_LIMIT, OVER_LIMIT)
+@example('{"id":1,"r":0,"d":0,"w":"1/1","id":2}', "0")
+@example('{"id":1.0,"r":0,"d":true,"w":"1/1"}', "0")
+def test_lane_reads_every_line_as_the_json_path(line, t):
+    """Instance line `line`, and trace line A,<t>,<line> (A,<line> for
+    t None): each reader gives what its JSON path gives."""
+    with_lane = _outcome(parse_instance, line)
+    with patch.object(model, "_PACKET_LINE", NEVER):
+        assert with_lane == _outcome(parse_instance, line)
+    if with_lane[0] == "read":
+        assert with_lane[1] == validate([packet_from_json(json.loads(line.strip()))])
+
+    arrival = "A," if t is None else f"A,{t},"
+    trace = f"H,1,planm\n{arrival}{line}\nG,0/1\n"
+    with_lane = _outcome(parse_trace, trace)
+    with patch.object(trace_io, "_ARRIVAL", NEVER):
+        assert with_lane == _outcome(parse_trace, trace)
+
+
+# -- every writer emits the lane's form ----------------------------------
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("kind", GENERATOR_KINDS)
+def test_writers_emit_the_canonical_line(kind, seed):
+    """Every line serialize_instance writes and every A line
+    format_trace writes fully matches its reader's lane, so no writer's
+    output falls back to JSON."""
+    instance = generate(GeneratorConfig(kind, 12, seed, packets_per_step=3, weight_max=30))
+    lines = serialize_instance(instance).splitlines()
+    assert len(lines) == len(instance.packets)
+    assert all(model._PACKET_LINE.fullmatch(line) for line in lines)
+    for algorithm in ("planm", "greedy"):
+        arrivals = [
+            line.partition(",")[2]
+            for line in format_trace(run(algorithm, instance)[1]).splitlines()
+            if line.startswith("A,")
+        ]
+        assert len(arrivals) == len(instance.packets)
+        assert all(trace_io._ARRIVAL.fullmatch(rest) for rest in arrivals)
