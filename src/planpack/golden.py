@@ -27,8 +27,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Union
 
-Q = Fraction
-
 Scalar = Union[int, Fraction]
 
 
@@ -283,12 +281,11 @@ def format_rational(q: Fraction) -> str:
 # unsigned denominator, and a sign on every tiebreak.  int() alone would
 # also take blanks, "+", "_" and non-ASCII digits, and so read distinct
 # files as one run.  Leading zeros and unreduced fractions are accepted.
-# INTEGER and RATIONAL are the pattern texts; the packet-line lanes of
-# model and trace_io are built from them.
-INTEGER = r"-?[0-9]+"
-RATIONAL = rf"{INTEGER}/[0-9]+"
+# RATIONAL is also the weight group of model's packet-cell pattern.
+_INTEGER = r"-?[0-9]+"
+RATIONAL = rf"{_INTEGER}/[0-9]+"
 _TIEBREAK = r"[+-][0-9]+"
-_INTEGER_RE = re.compile(INTEGER)
+_INTEGER_RE = re.compile(_INTEGER)
 _RATIONAL_RE = re.compile(RATIONAL)
 
 

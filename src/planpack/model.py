@@ -7,14 +7,17 @@ works on them as integers over the instance's common denominator
 pairwise distinct are not part of the instance; they are assigned per
 run, in validation order, by :class:`planpack.golden.TiebreakSource`.
 
-An instance file holds one packet per line.  ``serialize_packet``
-writes every line in one canonical form, ``{"id":I,"r":R,"d":D,"w":"N/M"}``
-with no blanks, which :func:`parse_instance` reads on a lane: one
-compiled pattern (:data:`PACKET_CELL`) and no JSON, converting each
-distinct weight text once per file.  Any other line, and a canonical
-one whose numbers ``int`` or ``parse_rational`` refuse, is read as JSON
-by ``packet_from_json``, which gives every error message; both paths
-take the same grammar.
+An instance file holds one packet per line, and a trace file's arrival
+lines hold the same packet cell after ``A,<t>,``; :func:`read_packet`
+reads that cell for both files.  ``serialize_packet`` writes every cell
+in one canonical form, ``{"id":I,"r":R,"d":D,"w":"N/M"}`` with no
+blanks, which ``read_packet`` takes with one compiled pattern and no
+JSON, converting each distinct weight text once per file.  Any other
+cell, and a canonical one whose numbers ``int`` or ``parse_rational``
+refuse, is read as JSON by :func:`json_cell` and ``packet_from_json``,
+which give every error message; both ways take the same grammar.
+:func:`json_cell` decodes every JSON cell of both files and refuses a
+repeated key.
 """
 
 from __future__ import annotations
@@ -164,27 +167,56 @@ def packet_from_json(obj: object) -> Packet:
     )
 
 
+_decoder = json.JSONDecoder()
+
+
+def json_cell(text: str, pos: int) -> tuple[object, int]:
+    """The JSON value that starts at text[pos], and the index just past
+    it; ValueError when the text there is not JSON or an object in it
+    repeats a key.  What follows the value is the caller's to check."""
+    try:
+        value, end = _decoder.raw_decode(text, pos)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"bad JSON cell: {exc.msg}") from exc
+    except (RecursionError, ValueError) as exc:
+        # nesting too deep, or an integer past Python's digit limit
+        raise ValueError(f"bad JSON cell: {exc}") from exc
+    # json keeps the last of a repeated key; no value read from a JSON
+    # cell holds a ':', so an object's text has one per key unless a key
+    # repeats
+    if type(value) is dict and text.count(":", pos, end) != len(value):
+        raise ValueError("a key repeats or a value holds ':'")
+    return value, end
+
+
 # JSON's integer: no leading zeros, and no "+"
 _JSON_INTEGER = r"-?(?:0|[1-9][0-9]*)"
 # the packet cell serialize_packet writes; groups id, r, d and w
-PACKET_CELL = (
+_PACKET_CELL = re.compile(
     rf'\{{"id":({_JSON_INTEGER}),"r":({_JSON_INTEGER}),"d":({_JSON_INTEGER}),'
     rf'"w":"({RATIONAL})"\}}'
 )
-_PACKET_LINE = re.compile(PACKET_CELL)
 
 
-def canonical_packet(
-    id_text: str, r_text: str, d_text: str, w_text: str, weights: dict[str, Fraction]
-) -> Packet:
-    """The packet of a canonical cell's four groups, with its weight
-    taken from, or added to, weights (one reader's texts so far);
-    ValueError on an integer past Python's digit limit or a zero
-    denominator, for the JSON path to report."""
-    weight = weights.get(w_text)
-    if weight is None:
-        weight = weights[w_text] = parse_rational(w_text)
-    return Packet(int(id_text), int(r_text), int(d_text), weight)
+def read_packet(cell: str, weights: dict[str, Fraction]) -> Packet:
+    """The packet of cell, an instance line or a trace arrival cell, which
+    must hold nothing after the packet; ValueError otherwise.  Its weight
+    is taken from, or added to, weights: the weight texts the caller's
+    file has shown so far."""
+    m = _PACKET_CELL.fullmatch(cell)
+    if m is not None:
+        id_text, r_text, d_text, w_text = m.groups()
+        try:
+            weight = weights.get(w_text)
+            if weight is None:
+                weight = weights[w_text] = parse_rational(w_text)
+            return Packet(int(id_text), int(r_text), int(d_text), weight)
+        except ValueError:
+            pass    # past the digit limit, or a zero denominator: JSON names it
+    obj, end = json_cell(cell, 0)
+    if end != len(cell):
+        raise ValueError("text after the packet cell")
+    return packet_from_json(obj)
 
 
 def parse_instance(text: str) -> Instance:
@@ -192,30 +224,11 @@ def parse_instance(text: str) -> Instance:
     weights: dict[str, Fraction] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line:
-            continue
-        m = _PACKET_LINE.fullmatch(line)
-        if m is not None:
+        if line:
             try:
-                packets.append(canonical_packet(*m.groups(), weights))
-                continue
-            except ValueError:
-                pass        # the JSON path below gives the message
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise InstanceSyntaxError(lineno, f"bad JSON: {exc.msg}") from exc
-        except (RecursionError, ValueError) as exc:
-            # nesting too deep, or an integer past Python's digit limit
-            raise InstanceSyntaxError(lineno, f"bad JSON: {exc}") from exc
-        try:
-            packets.append(packet_from_json(obj))
-        except ValueError as exc:
-            raise InstanceSyntaxError(lineno, str(exc)) from exc
-        # json keeps the last of a repeated key; a packet's values hold
-        # no ':', so its line has one per key unless a key repeats
-        if line.count(":") != len(obj):
-            raise InstanceSyntaxError(lineno, "a key repeats or a value holds ':'")
+                packets.append(read_packet(line, weights))
+            except ValueError as exc:
+                raise InstanceSyntaxError(lineno, str(exc)) from exc
     return validate(packets)
 
 

@@ -9,20 +9,14 @@ Format, one event per line:
 
 An idle slot is `S,<t>,-,idle,-,-`.  Absent leap or dweights cells are
 `-`.  Weights inside the JSON cells are exact "num/den(+tb)" strings;
-the packet cell is an instance file line.  ``format_event`` writes every
-A line as ``A,<t>,`` and the canonical instance line, and
-``parse_trace`` reads that form on a lane: one compiled pattern
-(``model.PACKET_CELL`` behind the time) and no JSON, converting each
-distinct weight text once per file.  Any other A line, and a canonical
-one whose numbers ``int`` or ``parse_rational`` refuse, is read by
-``model.packet_from_json``, which gives every error message.  Every
-number follows the grammar of
-:mod:`planpack.golden`, and the integers inside JSON cells are JSON
-integers (not 1.0 or true).  A leap cell holds exactly the keys,
-weights and chain-link cells that ``format_event`` writes, and no key
-of a JSON object repeats.  JSON cells contain commas, so S lines are
-parsed with a raw JSON decoder walking the tail of the line rather
-than a comma split.
+the packet cell is an instance file line, read by ``model.read_packet``,
+the instance reader's own.  Every other JSON cell is decoded by
+``model.json_cell``, which refuses a repeated key.  Every number follows
+the grammar of :mod:`planpack.golden`, and the integers inside JSON
+cells are JSON integers (not 1.0 or true).  A leap cell holds exactly
+the keys, weights and chain-link cells that ``format_event`` writes.
+JSON cells contain commas, so S lines are parsed by decoding each cell
+where the last one ended rather than by a comma split.
 
 In memory, an idle stretch is one event, ``ScheduleEvent.slots`` long;
 in the file it is one idle line per slot.  ``format_trace`` expands it,
@@ -40,11 +34,9 @@ lines are built with it.
 from __future__ import annotations
 
 import json
-import re
 from fractions import Fraction
 
 from .golden import (
-    INTEGER,
     WeightScale,
     format_rational,
     format_tagged,
@@ -52,13 +44,7 @@ from .golden import (
     parse_rational,
     parse_tagged,
 )
-from .model import (
-    PACKET_CELL,
-    canonical_packet,
-    json_integer,
-    packet_from_json,
-    serialize_packet,
-)
+from .model import json_cell, json_integer, read_packet, serialize_packet
 from .schedulers import (
     ArrivalEvent,
     ChainLink,
@@ -189,12 +175,6 @@ def format_trace(trace: RunTrace) -> str:
     return "\n".join(lines) + "\n"
 
 
-_decoder = json.JSONDecoder()
-
-# what format_event writes after "A,": the time, then the packet cell
-_ARRIVAL = re.compile(rf"({INTEGER}),{PACKET_CELL}")
-
-
 def _take_cell(line: str, pos: int, lineno: int):
     """Parse one `-` or JSON cell starting at pos; returns (value, next pos)."""
     if pos >= len(line):
@@ -202,17 +182,9 @@ def _take_cell(line: str, pos: int, lineno: int):
     if line[pos] == "-" and (pos + 1 == len(line) or line[pos + 1] == ","):
         return None, pos + 1
     try:
-        value, end = _decoder.raw_decode(line, pos)
-    except json.JSONDecodeError as exc:
-        raise TraceSyntaxError(lineno, f"bad JSON cell: {exc.msg}") from exc
-    except (RecursionError, ValueError) as exc:
-        # nesting too deep, or an integer past Python's digit limit
-        raise TraceSyntaxError(lineno, f"bad JSON cell: {exc}") from exc
-    # json keeps the last of a repeated key; no value read here holds a
-    # ':', so an object's text has one per key unless a key repeats
-    if type(value) is dict and line.count(":", pos, end) != len(value):
-        raise TraceSyntaxError(lineno, "bad JSON cell: a key repeats or a value holds ':'")
-    return value, end
+        return json_cell(line, pos)
+    except ValueError as exc:
+        raise TraceSyntaxError(lineno, str(exc)) from exc
 
 
 def _expect_comma(line: str, pos: int, lineno: int) -> int:
@@ -260,22 +232,11 @@ def parse_trace(text: str) -> RunTrace:
                 raise TraceSyntaxError(lineno, "missing algorithm")
             continue
         if tag == "A":
-            m = _ARRIVAL.fullmatch(rest)
-            if m is not None:
-                t_text, *groups = m.groups()
-                try:
-                    events.append(ArrivalEvent(int(t_text), canonical_packet(*groups, weights)))
-                    continue
-                except ValueError:
-                    pass    # the JSON path below gives the message
             t_text, _, cell = rest.partition(",")
-            obj, end = _take_cell(cell, 0, lineno)
-            if obj is None or end != len(cell):
-                raise TraceSyntaxError(lineno, "bad arrival packet cell")
             try:
-                events.append(ArrivalEvent(parse_integer(t_text), packet_from_json(obj)))
+                events.append(ArrivalEvent(parse_integer(t_text), read_packet(cell, weights)))
             except ValueError as exc:
-                raise TraceSyntaxError(lineno, f"bad arrival: {exc}") from exc
+                raise TraceSyntaxError(lineno, str(exc)) from exc
         elif tag == "S":
             fields = rest.split(",", 3)
             if len(fields) != 4:

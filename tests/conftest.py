@@ -101,6 +101,23 @@ REPEATED_KEY_EDITS = {
     "dweights-cell": ("trace", '{"3":"5/1(+1)"}', '{"3":"9/1(+1)","3":"5/1(+1)"}'),
 }
 
+# Edits of the W2 instance file and of W2's planm trace that leave text
+# after packet 2's cell, or leave an arrival line without its time or
+# cell.  json's raw decoder stops at the end of a value, so a reader that
+# does not check the end of the cell takes each file with text after the
+# cell for the unedited one.
+_W2_PACKET_2 = '{"id":2,"r":0,"d":1,"w":"10/1"}'
+INSTANCE_END_EDITS = {
+    "text-after": (_W2_PACKET_2, _W2_PACKET_2 + " 1"),
+    "object-after": (_W2_PACKET_2, _W2_PACKET_2 + "{}"),
+}
+ARRIVAL_END_EDITS = {
+    **INSTANCE_END_EDITS,
+    "dash-cell": ("A,0," + _W2_PACKET_2, "A,0,-"),
+    "empty-time": ("A,0," + _W2_PACKET_2, "A,," + _W2_PACKET_2),
+    "no-time": ("A,0," + _W2_PACKET_2, "A," + _W2_PACKET_2),
+}
+
 
 # A pending set observed at time 1 with three filled segments (0,3],
 # (3,4], (4,7]: f,a,b | k | z,p,q in the plan, x pending but excluded

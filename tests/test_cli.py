@@ -10,7 +10,9 @@ from click.testing import CliRunner
 from planpack.cli import main
 from planpack.model import load_instance, save_instance
 from planpack.offline import optimal_schedule, parse_schedule
-from conftest import FAR, LOOSE_LEAP_EDITS, REPEATED_KEY_EDITS, run_cli
+from conftest import (
+    ARRIVAL_END_EDITS, FAR, INSTANCE_END_EDITS, LOOSE_LEAP_EDITS, REPEATED_KEY_EDITS, run_cli,
+)
 
 
 @pytest.fixture
@@ -109,6 +111,19 @@ class TestSimulate:
         result = runner.invoke(main, ["simulate", "--instance", w2_file])
         assert result.exit_code == 1
         assert result.output.startswith(f"Error: {w2_file}: line 1: a key repeats")
+
+    @pytest.mark.parametrize("canonical, edited", INSTANCE_END_EDITS.values(),
+                             ids=INSTANCE_END_EDITS.keys())
+    def test_text_after_the_packet_exits_1(self, runner, w2_file, canonical, edited):
+        with open(w2_file) as fh:
+            text = fh.read()
+        assert text.count(canonical) == 1
+        with open(w2_file, "w") as fh:
+            fh.write(text.replace(canonical, edited))
+        result = runner.invoke(main, ["simulate", "--instance", w2_file])
+        assert result.exit_code == 1
+        assert result.output.startswith(f"Error: {w2_file}: line 2: ")
+        assert "Traceback" not in result.output
 
     def test_horizon_cap_enforced(self, runner, w2_file, monkeypatch):
         monkeypatch.setenv("SCHED_HORIZON_CAP", "1")
@@ -286,6 +301,23 @@ class TestVerify:
         assert result.exit_code == 1
         assert result.output.startswith(f"Error: {path}: ")
         assert "a key repeats" in result.output
+
+    @pytest.mark.parametrize("canonical, edited", ARRIVAL_END_EDITS.values(),
+                             ids=ARRIVAL_END_EDITS.keys())
+    def test_bad_arrival_cell_exit_1(self, runner, w2_file, tmp_path, canonical, edited):
+        trace, comparison = self.run_pipeline(runner, w2_file, tmp_path)
+        with open(trace) as fh:
+            text = fh.read()
+        assert text.count(canonical) == 1
+        with open(trace, "w") as fh:
+            fh.write(text.replace(canonical, edited))
+        result = runner.invoke(
+            main,
+            ["verify", "--instance", w2_file, "--trace", trace, "--comparison", comparison],
+        )
+        assert result.exit_code == 1
+        assert result.output.startswith(f"Error: {trace}: trace line 3: ")
+        assert "Traceback" not in result.output
 
     @pytest.mark.parametrize("canonical, lenient", LOOSE_LEAP_EDITS.values(),
                              ids=LOOSE_LEAP_EDITS.keys())

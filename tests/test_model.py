@@ -26,7 +26,7 @@ from planpack.model import (
     tagged_weight_map,
     validate,
 )
-from conftest import REPEATED_KEY_EDITS, mk
+from conftest import INSTANCE_END_EDITS, REPEATED_KEY_EDITS, mk
 
 
 def test_w2_validates(w2):
@@ -125,6 +125,16 @@ def test_parse_rejects_repeated_key(w2):
     assert text.count(canonical) == 1
     with pytest.raises(InstanceSyntaxError, match="line 1: a key repeats"):
         parse_instance(text.replace(canonical, repeated))
+
+
+@pytest.mark.parametrize("canonical, edited", INSTANCE_END_EDITS.values(),
+                         ids=INSTANCE_END_EDITS.keys())
+def test_parse_rejects_text_after_the_packet(w2, canonical, edited):
+    text = serialize_instance(w2)
+    assert text.count(canonical) == 1
+    with pytest.raises(InstanceSyntaxError) as exc:
+        parse_instance(text.replace(canonical, edited))
+    assert exc.value.line == 2
 
 
 DEEP_JSON = "[" * 100_000 + "]" * 100_000

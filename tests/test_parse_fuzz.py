@@ -11,7 +11,7 @@ from unittest.mock import patch
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from planpack import model, trace_io
+from planpack import model
 from planpack.generators import GeneratorConfig, KINDS as GENERATOR_KINDS, generate
 from planpack.golden import (
     GoldenNumber,
@@ -28,6 +28,7 @@ from planpack.golden import (
 from planpack.model import (
     Instance,
     InstanceError,
+    InstanceSyntaxError,
     Packet,
     packet_from_json,
     parse_instance,
@@ -384,17 +385,40 @@ def _outcome(read, text):
 def test_lane_reads_every_line_as_the_json_path(line, t):
     """Instance line `line`, and trace line A,<t>,<line> (A,<line> for
     t None): each reader gives what its JSON path gives."""
-    with_lane = _outcome(parse_instance, line)
-    with patch.object(model, "_PACKET_LINE", NEVER):
-        assert with_lane == _outcome(parse_instance, line)
-    if with_lane[0] == "read":
-        assert with_lane[1] == validate([packet_from_json(json.loads(line.strip()))])
-
     arrival = "A," if t is None else f"A,{t},"
     trace = f"H,1,planm\n{arrival}{line}\nG,0/1\n"
-    with_lane = _outcome(parse_trace, trace)
-    with patch.object(trace_io, "_ARRIVAL", NEVER):
-        assert with_lane == _outcome(parse_trace, trace)
+    with_lane = _outcome(parse_instance, line), _outcome(parse_trace, trace)
+    with patch.object(model, "_PACKET_CELL", NEVER):
+        assert with_lane == (_outcome(parse_instance, line), _outcome(parse_trace, trace))
+    if with_lane[0][0] == "read":
+        assert with_lane[0][1] == validate([packet_from_json(json.loads(line.strip()))])
+
+
+@FUZZ
+@given(lane_lines())
+@example('{"id":01,"r":0,"d":0,"w":"1/1"}')
+@example('{"id":-0,"r":0,"d":0,"w":"007/01"}')
+@example('{"id":1,"r":0,"d":0,"w":" 1/1"}')
+@example('{"id":1,"r":0,"d":0,"w":"1/0"}')
+@example('{"id":%s,"r":0,"d":0,"w":"1/1"}' % OVER_LIMIT)
+@example('{"id":1,"r":0,"d":0,"w":"%s/1"}' % OVER_LIMIT)
+@example('{"id":1,"r":0,"d":0,"w":"1/1","id":2}')
+@example('{"id":1.0,"r":0,"d":true,"w":"1/1"}')
+@example('{"id":1,"r":0,"d":0,"w":"1/1"} 1')
+def test_one_cell_one_answer(line):
+    """A cell read as an instance line and as the trace line A,0,<cell>
+    gives the same packet, or the same message after the line prefix."""
+    cell = line.strip()            # what the instance reader reads
+    assume(len(cell.splitlines()) == 1)
+    try:
+        packet = parse_trace(f"H,1,planm\nA,0,{cell}\nG,0/1\n").events[0].packet
+    except TraceSyntaxError as exc:
+        with pytest.raises(InstanceSyntaxError) as from_instance:
+            parse_instance(cell)
+        assert (from_instance.value.line, exc.line) == (1, 2)
+        assert str(from_instance.value)[len("line 1: "):] == str(exc)[len("trace line 2: "):]
+    else:
+        assert _outcome(parse_instance, cell) == _outcome(validate, [packet])
 
 
 # -- every writer emits the lane's form ----------------------------------
@@ -402,18 +426,20 @@ def test_lane_reads_every_line_as_the_json_path(line, t):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("kind", GENERATOR_KINDS)
 def test_writers_emit_the_canonical_line(kind, seed):
-    """Every line serialize_instance writes and every A line
-    format_trace writes fully matches its reader's lane, so no writer's
-    output falls back to JSON."""
+    """Every line serialize_instance writes and every A line's cell
+    format_trace writes fully matches the one packet pattern, so no
+    writer's output falls back to JSON."""
     instance = generate(GeneratorConfig(kind, 12, seed, packets_per_step=3, weight_max=30))
     lines = serialize_instance(instance).splitlines()
     assert len(lines) == len(instance.packets)
-    assert all(model._PACKET_LINE.fullmatch(line) for line in lines)
+    assert all(model._PACKET_CELL.fullmatch(line) for line in lines)
     for algorithm in ("planm", "greedy"):
         arrivals = [
-            line.partition(",")[2]
+            line.split(",", 2)[1:]
             for line in format_trace(run(algorithm, instance)[1]).splitlines()
             if line.startswith("A,")
         ]
         assert len(arrivals) == len(instance.packets)
-        assert all(trace_io._ARRIVAL.fullmatch(rest) for rest in arrivals)
+        for t, cell in arrivals:
+            parse_integer(t)
+            assert model._PACKET_CELL.fullmatch(cell)

@@ -12,7 +12,7 @@ from planpack.trace_io import TraceSyntaxError, format_trace, parse_trace
 
 from fractions import Fraction
 
-from conftest import LOOSE_LEAP_EDITS, REPEATED_KEY_EDITS
+from conftest import ARRIVAL_END_EDITS, LOOSE_LEAP_EDITS, REPEATED_KEY_EDITS
 
 
 W2_TRACE = """\
@@ -128,6 +128,7 @@ def test_parse_errors():
     ('{"id":1,"r":0', '{"id":1.0,"r":0'),
     ('"d":1,"w":"10/1"', '"d":true,"w":"10/1"'),
     ("S,1,3,", "S, +1,3,"),
+    ('A,0,{"id":3', 'A, +0,{"id":3'),
     ("S,1,3,", "S,1,0_3,"),
     ('{"3":"5/1(+1)"}', '{" 3":"5/1(+1)"}'),
     ('"delta":0,', '"delta":0.0,'),
@@ -136,7 +137,8 @@ def test_parse_errors():
     ('{"3":"5/1(+1)"}', '{"3":"5/1(+1)\\n"}'),
     ("G,14/1", "G, +14/1"),
 ], ids=[
-    "arrival-float-id", "arrival-bool-deadline", "time-sign-and-blank", "pid-underscore",
+    "arrival-float-id", "arrival-bool-deadline", "time-sign-and-blank",
+    "arrival-time-sign-and-blank", "pid-underscore",
     "dweights-key-blank", "leap-float-delta", "leap-int-rho-virtual",
     "tagged-arabic-indic", "tagged-newline", "gain-sign-and-blank",
 ])
@@ -179,6 +181,17 @@ def test_repeated_json_key_rejected(canonical, repeated):
     with pytest.raises(TraceSyntaxError, match="a key repeats") as exc:
         parse_trace(text)
     assert exc.value.line == lineno
+
+
+@pytest.mark.parametrize("canonical, edited", ARRIVAL_END_EDITS.values(),
+                         ids=ARRIVAL_END_EDITS.keys())
+def test_arrival_cell_must_end_the_line(canonical, edited):
+    """Text after packet 2's cell, or an arrival line without its time
+    or cell, is refused at that line."""
+    assert W2_TRACE.count(canonical) == 1
+    with pytest.raises(TraceSyntaxError) as exc:
+        parse_trace(W2_TRACE.replace(canonical, edited))
+    assert exc.value.line == 3
 
 
 def test_error_carries_line_number():
