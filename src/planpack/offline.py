@@ -9,33 +9,37 @@ decides whether its packet fits beside the packets already admitted,
 which is a property of that set and not of the matching, so the
 admitted set does not depend on which augmenting path a search finds.
 
-The search finds slots through two path-compressed pointers instead of
-walking windows.  The first is global: it maps a held slot to a lower
-slot with every slot between them held, so following it from a
-deadline gives the latest free slot at or below it.  It stays valid for
-the whole run because a held slot is never freed: an augmenting path
-moves packets among the slots it holds and takes one free slot.  Every
-packet the search reaches, the root first, looks there for a free slot
-in its window, and the search augments at once if it finds one.
-Otherwise every slot of the window is held, and the search tries them
-latest first through the second pointer, kept per search: it maps a
-slot to a lower one with every slot between them tried or a dead end
-(below), so no slot is tried twice and none is walked over again.
+A search first looks for the latest free slot in its packet's window
+through a global path-compressed pointer: it maps a held slot to a lower
+slot with every slot between them held, so following it from a deadline
+gives the latest free slot at or below it.  It stays valid for the whole
+run because a held slot is never freed: an augmenting path moves packets
+among the slots it holds and takes one free slot.  When the window is
+full, the search grows a range of slots instead of a path: from the
+window to the earliest release and the latest deadline of the packets
+holding the range's slots, scanning each slot once, until the range
+holds a free slot or stops growing.  Every slot of the range lies in the
+window of a packet that some augmenting path reaches, so a free slot in
+it admits the packet (Hall's condition for interval windows, Glover
+1967).  The path is walked back from the free slot: the packet whose
+window brought a slot into the range moves into it, leaving a slot that
+was in the range before.
 
-A failed search prunes the later ones.  It fails only when every slot
-it reached is held, and, since a look for a free slot only ever ends a
-search early with success, it tries every slot in the window of each
-packet it reaches, so those windows cover one closed interval whose
-every slot is held by a packet with its window inside: the interval is
-tight, with as many admitted packets inside it as it has slots.
-Admissions only grow, so it stays tight.  Two tight intervals I and J
-that overlap or touch form one: with N(X) the admitted packets inside
-X, N(I | J) >= N(I) + N(J) - N(I & J) >= |I| + |J| - |I & J|.  Every
-slot of a tight block is held by a packet with its window inside the
-block, so no augmenting path enters a block and leaves it: a slot in a
-block is a dead end for the search, and a packet whose window lies
-inside a block is rejected without one.  This holds for any matching,
-whichever paths earlier searches found.
+A failed search prunes the later ones.  It fails only when the range
+stops growing with every slot held, so every slot of the range is held
+by a packet with its window inside: the interval is tight, with as many
+admitted packets inside it as it has slots.  Admissions only grow, so it
+stays tight.  Two tight intervals I and J that overlap or touch form
+one: with N(X) the admitted packets inside X,
+N(I | J) >= N(I) + N(J) - N(I & J) >= |I| + |J| - |I & J|.  Every slot
+of a tight block is held by a packet with its window inside the block,
+so no augmenting path enters a block and leaves it, and a packet whose
+window lies inside a block is rejected without a search.  This holds
+for any matching, whichever paths earlier searches found.  The interval
+that rejects a packet is its witness of optimality: it holds the
+packet's window and as many admitted windows as it has slots, all
+admitted earlier and so none lighter, so the packet closes a circuit of
+packets at least as heavy.
 
 The final assignment is canonicalized independently of that matching:
 slots ascending, each filled with the admitted packet of smallest
@@ -51,6 +55,7 @@ import bisect
 import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 
 from .golden import TiebreakSource, format_rational, parse_integer, parse_rational
 from .model import Instance, tagged_weight_map
@@ -136,19 +141,15 @@ class TightBlocks:
     """Slot intervals known to be tight: every slot in one is held by an
     admitted packet whose window lies inside it.  The blocks are sorted,
     disjoint and never adjacent, kept as parallel lists of first and
-    last slots.  ``below`` maps every slot of every block to a lower
-    slot with every slot between them in a block; following it link by
-    link leads out of the blocks."""
+    last slots."""
 
     def __init__(self) -> None:
         self.starts: list[int] = []
         self.ends: list[int] = []
-        self.below: dict[int, int] = {}
 
     def add(self, lo: int, hi: int) -> None:
         """Record the tight interval [lo, hi], merged with every block it
         overlaps or touches."""
-        first, last = lo, hi
         i = bisect.bisect_left(self.ends, lo - 1)
         j = bisect.bisect_right(self.starts, hi + 1)
         if i < j:
@@ -156,15 +157,27 @@ class TightBlocks:
             hi = max(hi, self.ends[j - 1])
         self.starts[i:j] = [lo]
         self.ends[i:j] = [hi]
-        self.below.update(dict.fromkeys(range(first, last + 1), lo - 1))
 
-    def covers(self, release: int, deadline: int) -> bool:
-        """Whether [release, deadline] lies inside one block."""
+    def covers(self, release: int, deadline: int) -> tuple[int, int] | None:
+        """The block (first, last) that holds [release, deadline], or None."""
         i = bisect.bisect_right(self.starts, release) - 1
-        return i >= 0 and deadline <= self.ends[i]
+        if i >= 0 and deadline <= self.ends[i]:
+            return self.starts[i], self.ends[i]
+        return None
 
 
 def optimal_schedule(instance: Instance) -> Schedule:
+    admitted, total, _, _ = _greedy(instance)
+    assignment = canonical_assignment(instance, admitted)
+    assert assignment is not None
+    return Schedule(assignment, instance.scale.rational(total))
+
+
+def _greedy(instance: Instance) -> tuple[set[int], int, dict[int, int], dict[int, int]]:
+    """The matroid greedy: the admitted ids, their total scaled weight,
+    and for each rejected packet the first and the last slot of the
+    tight interval that rejected it, which holds its window and as many
+    admitted windows as it has slots, none of them lighter."""
     weights = tagged_weight_map(instance, TiebreakSource())
     order = sorted(instance.packets, key=lambda p: weights[p.id], reverse=True)
     # two maps of ints: a tuple per packet would be one more object for
@@ -175,84 +188,100 @@ def optimal_schedule(instance: Instance) -> Schedule:
     # held slot -> a lower slot, every slot between them held
     free_below: dict[int, int] = {}
     blocks = TightBlocks()
-    tight_below = blocks.below
 
-    def augment(root: int) -> bool:
-        """Depth-first search for an augmenting path from root.  pids[i]
-        is a packet on the path and path[i] the slot it is trying, held
-        by pids[i + 1].  Each packet reached first takes the latest free
-        slot of its window, if it has one; the lists and the tried
-        pointer are made only when the root has none.  A failed search
-        records the windows of every packet it reached, which cover one
-        tight interval."""
-        pid = root
-        path = None
-        while True:
-            release = releases[pid]
-            deadline = deadlines[pid]
-            free = deadline
-            while free in free_below:
-                free = free_below[free]
-            slot = deadline
-            while slot != free:
-                free_below[slot], slot = free, free_below[slot]
-            if free >= release:
-                if path is None:
-                    match[free] = root
-                else:
-                    path.append(free)
-                    match.update(zip(path, pids))
-                free_below[free] = free - 1
-                return True
-            if path is None:
-                pids = [root]
-                path = []
-                # slot -> a lower slot, every slot between them tried or
-                # in a tight block
-                tried: dict[int, int] = {}
-                lo, hi = release, deadline
+    def latest_free(slot: int) -> int:
+        """The latest free slot at or below slot; the pointers followed
+        are pointed at it."""
+        free = slot
+        while free in free_below:
+            free = free_below[free]
+        while slot != free:
+            free_below[slot], slot = free, free_below[slot]
+        return free
+
+    def augment(root: int) -> tuple[int, int] | None:
+        """Admit root into the matching, or return the tight interval
+        that shuts it out.  When root's window is full, [lo, hi] grows
+        in rounds, each scanning the slots the last one added; the first
+        free slot met lies in the window of the packet being scanned.
+        lows and highs record each growth of lo (negated) and of hi, and
+        low_slots and high_slots the slot whose packet made it: that
+        packet can move into any slot the growth added, so each step of
+        the walk back from the free slot is one bisection."""
+        release = releases[root]
+        deadline = deadlines[root]
+        # latest_free(deadline), inline: most searches end here
+        free = deadline
+        while free in free_below:
+            free = free_below[free]
+        slot = deadline
+        while slot != free:
+            free_below[slot], slot = free, free_below[slot]
+        if free >= release:
+            match[free] = root
+            free_below[free] = free - 1
+            return None
+        lo, hi = release, deadline
+        lows: list[int] = []
+        low_slots: list[int] = []
+        highs: list[int] = []
+        high_slots: list[int] = []
+        # [scanned, past) is the part of the range already scanned
+        scanned = past = deadline + 1
+        # every slot in [lo, hi] is held, and free, the latest free slot
+        # at or below hi, lies below lo
+        while lo < scanned or past <= hi:
+            new_lo, new_hi = lo, hi
+            for slot in chain(range(lo, scanned), range(past, hi + 1)):
+                pid = match[slot]  # scan
+                low = releases[pid]
+                if low < new_lo:
+                    if low <= free:
+                        break
+                    new_lo = low
+                    lows.append(-low)
+                    low_slots.append(slot)
+                high = deadlines[pid]
+                if high > new_hi:
+                    free = latest_free(high)
+                    if free > new_hi:
+                        break
+                    new_hi = high
+                    highs.append(high)
+                    high_slots.append(slot)
             else:
-                if release < lo:
-                    lo = release
-                if deadline > hi:
-                    hi = deadline
-            # try the latest slot of pids[-1] not yet tried nor dead; a
-            # packet that gets back to the top resumes below the slot it tried
-            slot = deadline
-            while True:
-                start = slot
-                while True:
-                    step = tried.get(slot)
-                    if step is None:
-                        step = tight_below.get(slot)
-                        if step is None:
-                            break
-                    slot = step
-                while start != slot:
-                    step = tried.get(start)
-                    tried[start], start = slot, tight_below[start] if step is None else step
-                if slot >= release:
-                    break
-                pids.pop()
-                if not path:
-                    blocks.add(lo, hi)
-                    return False
-                slot = path.pop()
-                release = releases[pids[-1]]
-            tried[slot] = slot - 1
-            path.append(slot)
-            pid = match[slot]
-            pids.append(pid)
+                scanned, past = lo, hi + 1
+                lo, hi = new_lo, new_hi
+                continue
+            match[free] = pid
+            free_below[free] = free - 1
+            # slot has lost its packet; the one that brought it into the range moves in
+            while slot < release or slot > deadline:
+                if slot < release:
+                    moved = low_slots[bisect.bisect_left(lows, -slot)]
+                else:
+                    moved = high_slots[bisect.bisect_left(highs, slot)]
+                match[slot] = match[moved]
+                slot = moved
+            match[slot] = root
+            return None
+        blocks.add(lo, hi)
+        return lo, hi
 
     admitted: set[int] = set()
+    # maps of ints, as above: a kept tuple per rejection would bring the
+    # collector's passes sooner
+    firsts: dict[int, int] = {}
+    lasts: dict[int, int] = {}
     total = 0
     for p in order:
-        if not blocks.covers(p.release, p.deadline) and augment(p.id):
+        tight = blocks.covers(p.release, p.deadline) or augment(p.id)
+        if tight is None:
             admitted.add(p.id)
             total += weights[p.id].value
-    assignment = canonical_assignment(instance, admitted)
-    assert assignment is not None
-    return Schedule(assignment, instance.scale.rational(total))
+        else:
+            firsts[p.id], lasts[p.id] = tight
+    return admitted, total, firsts, lasts
 
 
 def brute_force_opt(instance: Instance) -> Schedule:

@@ -56,7 +56,7 @@ from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import attrgetter
-from typing import Iterable, Iterator
+from typing import Iterable, Sequence
 
 from .golden import TaggedWeight, TiebreakSource
 
@@ -421,10 +421,11 @@ class PlanState:
         """The plan's members in deadline order."""
         return list(self._members)
 
-    def iter_members(self) -> Iterator[PendingPacket]:
-        """The plan's members in deadline order, read from the live list
-        without a copy; the plan must not change during the iteration."""
-        return iter(self._members)
+    def iter_members(self) -> Sequence[PendingPacket]:
+        """The plan's members in deadline order: the live list, not a
+        copy, and the same object on every call; the plan must not change
+        while it is read."""
+        return self._members
 
     def lightest_initseg(self) -> PendingPacket | None:
         """Lightest plan packet in the first segment; None iff the plan is empty."""

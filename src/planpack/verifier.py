@@ -50,7 +50,7 @@ the summary totals and error messages are converted to rationals.
 from __future__ import annotations
 
 from bisect import insort
-from collections.abc import Container, Iterable
+from collections.abc import Container, Iterable, Sequence
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
@@ -456,7 +456,7 @@ class Verifier:
     def _cover_range(
         self,
         reference: PlanState,
-        members: list[PendingPacket],
+        members: Sequence[PendingPacket],
         claimed: Container[int],
         deadline: int,
     ) -> tuple[int, int]:
@@ -464,18 +464,21 @@ class Verifier:
         packet with this deadline: lo is the plan's last tight slot
         before it, hi the backup pool's first tight slot at or after it.
         members is the plan in deadline order; reference holds the
-        pending packets and the time it belongs to.
+        pending packets and the time it belongs to.  When members is
+        reference's own live list, reference's tight slots give lo.
         """
         t, sentinel = reference.t, reference.sentinel
+        if members is reference.iter_members():
+            lo = reference.prevts(deadline)
+        else:
+            lo = SlackProfile(members, t, sentinel).prevts(deadline)
         pool = self._backup_pool(reference.packets, members, claimed)
-        lo = SlackProfile(members, t, sentinel).prevts(deadline)
-        hi = SlackProfile(pool, t, sentinel).nextts(deadline)
-        return lo, hi
+        return lo, SlackProfile(pool, t, sentinel).nextts(deadline)
 
     def _restore_backup(
         self,
         reference: PlanState,
-        members: list[PendingPacket],
+        members: Sequence[PendingPacket],
         claimed: Container[int],
         g_deadline: int,
         case: str,
@@ -728,7 +731,7 @@ class Verifier:
             claimed = self._real_entries()
             claimed[pid] = t
             f_id, f_val = self._restore_backup(
-                pre, pre.plan_members(), claimed, pkt.deadline, "ADV.1"
+                pre, pre.iter_members(), claimed, pkt.deadline, "ADV.1"
             )
             w_g = pkt.weight.value
             self._require_frac(f_val <= w_g, "ADV.1", "cover outweighs the entry")
@@ -987,7 +990,7 @@ class Verifier:
         if ell_id in claimed:
             self._timetable[claimed[ell_id]] = ShadowEntry(w_ell)
             f_id, f_val = self._restore_backup(
-                pre, pre.plan_members(), claimed, ell.deadline, "L.InSeg(i)"
+                pre, pre.iter_members(), claimed, ell.deadline, "L.InSeg(i)"
             )
             self._require_frac(f_val <= w_ell, "L.InSeg(i)", "cover outweighs evictee")
             dpsi += PHI_INV * (w_ell - f_val)

@@ -148,7 +148,8 @@ CHAIN_LENGTH = 1200
 def chain() -> Instance:
     """Packets 0..1199 with windows [i, i+1] and weight 2, then one
     weight-1 packet at [1200, 1200].  Admitting the last packet moves
-    every chain packet one slot earlier: an augmenting path 1200 deep."""
+    every chain packet one slot earlier: its search's range grows one
+    slot per round for 1200 rounds, and its augmenting path is 1200 deep."""
     n = CHAIN_LENGTH
     return validate([mk(i, i, i + 1, 2) for i in range(n)] + [mk(n, n, n, 1)])
 

@@ -1,5 +1,6 @@
 """Offline optimum: matched against brute force and hand-worked values."""
 
+import bisect
 import inspect
 import random
 import sys
@@ -25,18 +26,19 @@ from planpack.offline import (
     parse_schedule,
 )
 from conftest import CHAIN_LENGTH, FAR, mk
+from test_acceptance import FAMILIES, family_steps
 
-# the statement of the augmenting search that marks a slot tried
-TRIED_STATEMENT = "tried[slot] = slot - 1"
+# the statement of the admission search that scans a slot of its range
+SCAN_STATEMENT = "pid = match[slot]  # scan"
 
 
 def search_cost(instance):
     """optimal_schedule(instance) run under a tracer, and its cost:
-    "searches" counts calls of the augmenting search, "slots" the slots
-    they try, and "lines" the lines executed in offline.py outside
+    "searches" counts calls of the admission search, "slots" the slots
+    they scan, and "lines" the lines executed in offline.py outside
     canonical_assignment.  The counts are deterministic."""
     source = inspect.getsource(offline).splitlines()
-    marks = [n for n, text in enumerate(source, start=1) if text.strip() == TRIED_STATEMENT]
+    marks = [n for n, text in enumerate(source, start=1) if text.strip() == SCAN_STATEMENT]
     assert len(marks) == 1, marks
     cost = Counter()
 
@@ -70,15 +72,16 @@ def test_empty_instance():
 
 
 def test_deep_augmenting_path(chain):
-    """Every chain packet's window is full but p_0's, so the last search
-    tries the slot of each chain packet in turn: a path 1200 deep, which
-    no look for a free slot shortens, at a cost linear in its length."""
+    """Every chain packet's window is full but p_0's, so the last
+    search's range grows by one slot a round, and its augmenting path
+    is 1200 deep: a cost linear in its length.  A walk back that scanned
+    the recorded growths instead of bisecting them would be quadratic."""
     sched, cost = search_cost(chain)
     assert sched.weight0 == 2401
     assert sorted(sched.assignment) == list(range(1201))
     assert cost["searches"] == CHAIN_LENGTH + 1
     assert cost["slots"] == CHAIN_LENGTH
-    assert cost["lines"] <= 90_000
+    assert cost["lines"] <= 63_000
 
 
 def test_single_packet():
@@ -343,18 +346,18 @@ def test_pruned_search_matches_plain_search(shape):
 # reach the horizon, and windows of at most 9 slots
 SEARCH_COSTS = {
     "uniform-random": (GeneratorConfig("uniform-random", steps=100, weight_max=100),
-                       dict(searches=102, slots=1320, lines=88057)),
+                       dict(searches=102, slots=630, lines=10700)),
     "s-bounded": (GeneratorConfig("s-bounded", steps=300, weight_max=100, span=8),
-                  dict(searches=340, slots=668, lines=55949)),
+                  dict(searches=340, slots=1014, lines=25638)),
 }
 
 
 @pytest.mark.parametrize("name", SEARCH_COSTS)
 def test_search_cost_is_bounded(name):
     """The search's work stays within a tenth of its pinned counts.
-    Variants that stay exact but work more go over the bound: no
-    dead-end test, a block recorded from the root's window only, no
-    look for a free slot, and no path compression of either pointer."""
+    Variants that stay exact but work more go over the bound: a range
+    scanned whole every round, no block recorded by a failed search,
+    and no path compression of the free-slot pointer."""
     config, counts = SEARCH_COSTS[name]
     inst = generate(config)
     sched, cost = search_cost(inst)
@@ -399,7 +402,7 @@ def test_tight_blocks_merge_only_touching_intervals():
     assert not blocks.covers(1, 3) and blocks.covers(3, 4) and not blocks.covers(4, 5)
     blocks.add(2, 2)
     assert (blocks.starts, blocks.ends) == ([0], [4])
-    assert blocks.covers(1, 3) and set(blocks.below) == {0, 1, 2, 3, 4}
+    assert blocks.covers(1, 3)
     blocks.add(7, 9)
     blocks.add(6, 6)
     blocks.add(12, 12)
@@ -429,3 +432,69 @@ def test_far_releases_cost_nothing_per_slot(far):
     assert sched.assignment == {0: 5, FAR: 2, FAR + 1: 4, FAR + 2: 1}
     assert sched.weight0 == 11
     assert canonical_assignment(far, {1, 2, 3, 4}) is None
+
+
+def check_witnesses(instance, admitted, witnesses):
+    """Check the witness of every rejected packet from the admitted
+    windows alone, sorted by release and cut by bisection: its interval
+    holds the packet's window, exactly as many admitted windows as it has
+    slots, and none lighter than the packet.  So the admitted set is a
+    maximum-weight one: each rejected packet closes a circuit of packets
+    at least as heavy."""
+    by_id = instance.by_id()
+    assert admitted.isdisjoint(witnesses)
+    assert admitted | set(witnesses) == set(by_id)
+    windows = sorted((by_id[pid].release, by_id[pid].deadline, by_id[pid].weight)
+                     for pid in admitted)
+    releases = [release for release, _, _ in windows]
+    lightest = {}
+    for pid, (lo, hi) in witnesses.items():
+        p = by_id[pid]
+        assert lo <= p.release and p.deadline <= hi, (pid, lo, hi)
+        if (lo, hi) not in lightest:
+            inside = [weight for _, deadline, weight in
+                      windows[bisect.bisect_left(releases, lo):bisect.bisect_right(releases, hi)]
+                      if deadline <= hi]
+            assert len(inside) == hi - lo + 1, (lo, hi, len(inside))
+            lightest[lo, hi] = min(inside)
+        assert lightest[lo, hi] >= p.weight, (pid, lo, hi)
+
+
+def witnessed(instance):
+    """optimal_schedule's admitted set and rejection witnesses, checked."""
+    admitted, _, firsts, lasts = offline._greedy(instance)
+    witnesses = {pid: (first, lasts[pid]) for pid, first in firsts.items()}
+    assert admitted == set(optimal_schedule(instance).assignment.values())
+    check_witnesses(instance, admitted, witnesses)
+    return admitted, witnesses
+
+
+def test_witnesses_hold_on_the_acceptance_corpus():
+    for name, base in FAMILIES:
+        for index, steps in enumerate(family_steps(name)):
+            witnessed(generate(GeneratorConfig(
+                base.kind, steps, seed=10_000 + index, packets_per_step=base.packets_per_step,
+                weight_max=base.weight_max, span=base.span)))
+
+
+@pytest.mark.parametrize("shape", SEARCH_SHAPES, ids=shape_id)
+def test_witnesses_hold_on_search_shapes(shape):
+    shape = dict(shape)
+    reshape = shape.pop("reshape", lambda inst, seed: inst)
+    for seed in range(20):
+        steps = 20 + (seed * 37) % 101
+        witnessed(reshape(generate(GeneratorConfig(seed=seed, steps=steps, **shape)), seed))
+
+
+def test_witnesses_hold_beyond_brute_force():
+    """uniform-random at 2400 steps, and the same result with one admitted
+    packet dropped from inside a witness, which the check must refuse."""
+    inst = generate(GeneratorConfig("uniform-random", steps=2400))
+    admitted, witnesses = witnessed(inst)
+    assert len(admitted) == 2400 and len(witnesses) == 3539
+    by_id = inst.by_id()
+    lo, hi = min(witnesses.values(), key=lambda w: w[1] - w[0])
+    dropped = next(pid for pid in sorted(admitted)
+                   if lo <= by_id[pid].release and by_id[pid].deadline <= hi)
+    with pytest.raises(AssertionError):
+        check_witnesses(inst, admitted - {dropped}, witnesses)
