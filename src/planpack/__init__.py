@@ -10,37 +10,9 @@ Library layout:
 - :mod:`planpack.schedulers` : the plan-following online scheduler and
   the greedy baseline, plus the replayable run loop
 - :mod:`planpack.offline` : exact offline optimum and brute-force oracle
+- :mod:`planpack.trace_io` : run-trace files, read in the units of the
+  run's instance
 - :mod:`planpack.verifier` : event-by-event replay of the amortized
   accounting (timetable, backup plan, potential) in exact arithmetic
 - :mod:`planpack.cli` : command-line front end
 """
-
-from planpack.golden import (
-    GoldenNumber,
-    PHI,
-    PHI2,
-    PHI_INV,
-    PHI_INV2,
-    PHI_INV3,
-    TaggedWeight,
-    TiebreakSource,
-    WeightScale,
-    golden,
-    golden_mul,
-    golden_sign,
-)
-
-__all__ = [
-    "GoldenNumber",
-    "PHI",
-    "PHI2",
-    "PHI_INV",
-    "PHI_INV2",
-    "PHI_INV3",
-    "TaggedWeight",
-    "TiebreakSource",
-    "WeightScale",
-    "golden",
-    "golden_mul",
-    "golden_sign",
-]

@@ -212,7 +212,7 @@ def verify(instance_path: str, trace_path: str, comparison_path: str,
     if out_path is not None:
         _require_folder(out_path)
     inst = _read(instance_path, load_instance)
-    trace = _read(trace_path, load_trace)
+    trace = _read(trace_path, functools.partial(load_trace, scale=inst.scale))
     comparison = _read(comparison_path, _load_schedule)
     try:
         result = verify_trace(inst, trace, comparison)

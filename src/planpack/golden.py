@@ -194,16 +194,6 @@ class WeightScale:
                 d = math.lcm(d, den)
         self.denominator = d
 
-    def __eq__(self, other: object) -> bool:
-        # the tables only cache x/D and D // den, so D alone fixes what
-        # a scale means
-        if not isinstance(other, WeightScale):
-            return NotImplemented
-        return self.denominator == other.denominator
-
-    def __hash__(self) -> int:
-        return hash(self.denominator)
-
     def scaled(self, w: Scalar) -> int:
         """w*D; ValueError unless w is a multiple of 1/D."""
         k = self._factors.get(w.denominator)

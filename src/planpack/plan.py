@@ -12,8 +12,8 @@ size membership delta each event induces.  The delta is edited in place
 into two lists: the plan members in deadline order and the non-plan
 packets in weight order.  An event that changes a plan member or the
 time then rebuilds the plan's derived structure (tight slots, each
-segment's lightest and heaviest member, minwt prefix minima) in one
-walk over the ordered members.  Nothing costs anything per empty slot,
+segment's heaviest member, minwt prefix minima) in one walk over the
+ordered members.  Nothing costs anything per empty slot,
 however long the horizon.
 
 Conceptually the pending set is padded with zero-weight packets, one
@@ -250,9 +250,9 @@ class PlanState:
       an admitted arrival is inserted and its evictee removed, a
       transmitted packet is removed, and a leap removes ell and inserts
       rho.  The structure derived from them (tight slots, the
-      lightest and heaviest member of each segment, minwt per
-      segment) is rebuilt by refresh() in one pass after every
-      event that changes a member or t.  A rejected arrival does not
+      heaviest member of each segment, minwt per segment) is
+      rebuilt by refresh() in one pass after every event that
+      changes a member or t.  A rejected arrival does not
       call it.
 
     No event edits a packet.  A packet whose weight, deadline or
@@ -295,7 +295,6 @@ class PlanState:
             raise PlanError(f"plan packet {p.id} deadline {p.deadline} out of [{t}, {H})")
 
         tights = [t - 1]
-        seg_min: list[PendingPacket | None] = [None]
         seg_max: list[PendingPacket | None] = [None]
         prefix: list[PendingPacket | None] = [None]
         low = high = running = None
@@ -313,20 +312,17 @@ class PlanState:
                     slot = SlackProfile(members, t, H).floor[1]
                     raise PlanError(f"plan infeasible at slot {slot}")
                 tights.append(d)
-                seg_min.append(low)
                 seg_max.append(high)
                 if running is None or low_w < running_w:
                     running, running_w = low, low_w
                 prefix.append(running)
                 low = high = None
         tights.append(H)
-        seg_min.append(low)
         seg_max.append(high)
         if low is not None and (running is None or low_w < running_w):
             running = low
         prefix.append(running)
         self.tights = tights
-        self._seg_member_min = seg_min
         self._seg_member_max = seg_max
         self._seg_prefix_min = prefix
 
@@ -428,8 +424,10 @@ class PlanState:
         return self._members
 
     def lightest_initseg(self) -> PendingPacket | None:
-        """Lightest plan packet in the first segment; None iff the plan is empty."""
-        return self._seg_member_min[1]
+        """Lightest plan packet in the first segment; None iff the plan is
+        empty.  It is minwt's packet at the first segment's slots, since
+        no segment comes before it."""
+        return self._seg_prefix_min[1]
 
     def heaviest_member(self) -> PendingPacket | None:
         """Heaviest plan packet, the heaviest of the segment maxima; None
@@ -607,7 +605,6 @@ class PlanState:
         dup._nonplan = list(self._nonplan)
         dup._nonplan_maxd = list(self._nonplan_maxd)
         dup.tights = self.tights
-        dup._seg_member_min = self._seg_member_min
         dup._seg_member_max = self._seg_member_max
         dup._seg_prefix_min = self._seg_prefix_min
         return dup

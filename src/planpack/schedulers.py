@@ -111,8 +111,9 @@ class ScheduleEvent:
 class RunTrace:
     """The events of one run and its gain in original weights.
 
-    Event weights are in the units of ``scale``, the common denominator
-    of the arrivals' weights, which is the instance's.
+    Event weights are in the units of ``scale``, the ``WeightScale`` of
+    the run's instance: ``run`` takes the instance's own, and
+    ``trace_io.parse_trace`` the one its caller passes.
     """
 
     algorithm: str

@@ -26,9 +26,9 @@ files stay version 1.  Any other idle line stays an event of its own,
 for the audit to reject.
 
 In memory, the weights of S lines are integers over the common
-denominator of the trace's arrival weights (``RunTrace.scale``), so a
-trace is read in two passes: the arrivals fix the scale, then the S
-lines are built with it.
+denominator D of the run's instance, so ``parse_trace`` takes that
+instance's ``WeightScale`` and builds each S line as it reads it.  A
+weight that is not a multiple of 1/D is a syntax error of its line.
 """
 
 from __future__ import annotations
@@ -193,27 +193,15 @@ def _expect_comma(line: str, pos: int, lineno: int) -> int:
     return pos + 1
 
 
-def _schedule_event(record: tuple, scale: WeightScale) -> ScheduleEvent:
-    """Second pass over one S line: build its weights in scale's units."""
-    lineno, t, pid, kind, leap_obj, dw_obj = record
-    try:
-        leap = None if leap_obj is None else _leap_from_json(leap_obj, scale)
-        dweights = (
-            {}
-            if dw_obj is None
-            else {parse_integer(k): parse_tagged(v, scale) for k, v in dw_obj.items()}
-        )
-    except (AttributeError, KeyError, IndexError, TypeError, ValueError) as exc:
-        raise TraceSyntaxError(lineno, f"bad cell content: {exc}") from exc
-    return ScheduleEvent(t, pid, kind, leap, dweights)
-
-
-def parse_trace(text: str) -> RunTrace:
+def parse_trace(text: str, *, scale: WeightScale) -> RunTrace:
+    """The run a trace file records, its weights in the units of scale,
+    the scale of the run's instance."""
     algorithm: str | None = None
     gain: Fraction | None = None
-    # ArrivalEvents, idle stretches as [t, slots], and other S lines as
-    # records until the scale is known
+    # events, with each idle stretch as [t, slots] until the trace ends,
+    # at the indices in stretches
     events: list = []
+    stretches: list[int] = []
     weights: dict[str, Fraction] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -257,8 +245,20 @@ def parse_trace(text: str) -> RunTrace:
             idle = kind == "idle" and pid is None and leap_obj is None and dw_obj in (None, {})
             if idle and events and isinstance(events[-1], list) and sum(events[-1]) == t:
                 events[-1][1] += 1      # the stretch [t0, t0 + slots) reaches t
+            elif idle:
+                stretches.append(len(events))
+                events.append([t, 1])
             else:
-                events.append([t, 1] if idle else (lineno, t, pid, kind, leap_obj, dw_obj))
+                try:
+                    leap = None if leap_obj is None else _leap_from_json(leap_obj, scale)
+                    dweights = (
+                        {}
+                        if dw_obj is None
+                        else {parse_integer(k): parse_tagged(v, scale) for k, v in dw_obj.items()}
+                    )
+                except (AttributeError, KeyError, IndexError, TypeError, ValueError) as exc:
+                    raise TraceSyntaxError(lineno, f"bad cell content: {exc}") from exc
+                events.append(ScheduleEvent(t, pid, kind, leap, dweights))
         elif tag == "G":
             try:
                 gain = parse_rational(rest)
@@ -270,18 +270,14 @@ def parse_trace(text: str) -> RunTrace:
         raise TraceSyntaxError(0, "empty trace file")
     if gain is None:
         raise TraceSyntaxError(0, "missing gain footer")
-    scale = WeightScale(ev.packet.weight for ev in events if isinstance(ev, ArrivalEvent))
-    for i, ev in enumerate(events):
-        if isinstance(ev, list):
-            events[i] = ScheduleEvent(ev[0], None, "idle", None, {}, ev[1])
-        elif isinstance(ev, tuple):
-            events[i] = _schedule_event(ev, scale)
+    for i in stretches:
+        events[i] = ScheduleEvent(events[i][0], None, "idle", None, {}, events[i][1])
     return RunTrace(algorithm, events, gain, scale)
 
 
-def load_trace(path: str) -> RunTrace:
+def load_trace(path: str, *, scale: WeightScale) -> RunTrace:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_trace(fh.read())
+        return parse_trace(fh.read(), scale=scale)
 
 
 def save_trace(trace: RunTrace, path: str) -> None:

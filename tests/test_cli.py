@@ -8,6 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 from planpack.cli import main
+from planpack.golden import WeightScale
 from planpack.model import load_instance, save_instance
 from planpack.offline import optimal_schedule, parse_schedule
 from conftest import (
@@ -336,6 +337,52 @@ class TestVerify:
         assert result.exit_code == 1
         assert result.output.startswith(f"Error: {trace}: trace line 6: ")
         assert "Traceback" not in result.output
+
+    def test_verify_builds_one_weight_scale(self, runner, leap_chain, tmp_path, monkeypatch):
+        """The trace is read in the units of the instance's scale, the
+        only one a verify builds (leap_chain weighs 1/2, so D = 2)."""
+        instance = str(tmp_path / "chain.jsonl")
+        save_instance(leap_chain, instance)
+        trace, comparison = self.run_pipeline(runner, instance, tmp_path)
+        built = []
+        init = WeightScale.__init__
+
+        def counting_init(scale, weights):
+            built.append(scale)
+            init(scale, weights)
+
+        monkeypatch.setattr(WeightScale, "__init__", counting_init)
+        result = runner.invoke(
+            main, ["verify", "--instance", instance, "--trace", trace, "--comparison", comparison,
+                   "--out", str(tmp_path / "ledger.csv")],
+        )
+        assert result.exit_code == 0, result.output
+        assert len(built) == 1
+
+    @pytest.mark.parametrize("edits", [
+        [],
+        [('"w":"1/2"', '"w":"1/6"')],
+    ], ids=["off-the-grid", "on-the-grid-of-edited-arrivals"])
+    def test_schedule_weight_off_the_instance_grid_exit_1(self, runner, leap_chain, tmp_path,
+                                                          edits):
+        """A weight change of 1/3 is not a multiple of 1/2, the instance's
+        1/D, even where the trace's own arrivals are over 6."""
+        instance = str(tmp_path / "chain.jsonl")
+        save_instance(leap_chain, instance)
+        trace, comparison = self.run_pipeline(runner, instance, tmp_path)
+        with open(trace) as fh:
+            text = fh.read()
+        for canonical, edited in [('{"4":"1/1(+1)"}', '{"4":"1/3(+1)"}'), *edits]:
+            assert text.count(canonical) == 1
+            text = text.replace(canonical, edited)
+        with open(trace, "w") as fh:
+            fh.write(text)
+        result = runner.invoke(
+            main, ["verify", "--instance", instance, "--trace", trace, "--comparison", comparison],
+        )
+        assert result.exit_code == 1
+        assert result.output.startswith(f"Error: {trace}: trace line 6: ")
+        assert "1/3 is not a multiple of 1/2" in result.output
 
     def test_greedy_trace_rejected(self, runner, w1_file, tmp_path):
         trace, comparison = self.run_pipeline(

@@ -95,7 +95,7 @@ def pipeline(instance, tmp_path):
         printed.append(result.output)
     digests = tuple(_sha(path.read_bytes()) for path in files.values())
     digests += (_sha("".join(printed).encode("utf-8")),)
-    return digests, load_trace(str(files["planm.trace"]))
+    return digests, load_trace(str(files["planm.trace"]), scale=instance.scale)
 
 
 @pytest.mark.parametrize("seed", sorted(PINS))
@@ -259,13 +259,14 @@ def test_long_gap_outputs_match_pins(tmp_path):
     The run and the audit hold the gap as one idle stretch; the files
     keep one line or row per slot, byte for byte."""
     inst = tmp_path / "instance.jsonl"
-    save_instance(validate([
+    instance = validate([
         Packet(1, 0, 0, Fraction(5)),
         Packet(2, 0, GAP, Fraction(3)),
         Packet(3, 1, 1, Fraction(2)),
         Packet(4, GAP + 3, GAP + 5, Fraction(4)),
         Packet(5, GAP + 3, GAP + 3, Fraction(1)),
-    ]), str(inst))
+    ])
+    save_instance(instance, str(inst))
     middle = tmp_path / "middle.sched"
     middle.write_text(format_schedule(Schedule(
         assignment={0: 1, 1: 3, GAP // 2: 2, GAP + 3: 5, GAP + 4: 4}, weight0=Fraction(15),
@@ -285,7 +286,7 @@ def test_long_gap_outputs_match_pins(tmp_path):
         assert result.exit_code == 0, result.output
     assert result.output.startswith(f"ok: {GAP + 11} events")
     assert tuple(_sha(path.read_bytes()) for path in files) == GAP_PINS
-    trace = load_trace(str(files[0]))
+    trace = load_trace(str(files[0]), scale=instance.scale)
     idle = [ev for ev in trace.events if getattr(ev, "kind", None) == "idle"]
     assert [(ev.t, ev.slots) for ev in idle] == [(3, GAP), (GAP + 5, 1)]
     with open(files[3], newline="") as fh:

@@ -132,7 +132,7 @@ def test_parse_instance_returns_instance_or_instance_error(text):
 @example(f"H,1,planm\nS,0,1,ordinary,-,{DEEP}\nG,0/1\n")
 def test_parse_trace_returns_trace_or_trace_syntax_error(text):
     try:
-        result = parse_trace(text)
+        result = parse_trace(text, scale=WeightScale([]))
     except TraceSyntaxError:
         return
     assert isinstance(result, RunTrace)
@@ -245,7 +245,7 @@ def test_generated_files_read_back(kind, steps, seed, denominator):
     _, trace = run("planm", instance)
     assume(any(isinstance(ev, ScheduleEvent) and ev.leap for ev in trace.events))
     assert parse_instance(serialize_instance(instance)) == instance
-    assert parse_trace(format_trace(trace)) == trace
+    assert parse_trace(format_trace(trace), scale=trace.scale) == trace
     schedule = optimal_schedule(instance)
     assert parse_schedule(format_schedule(schedule)) == schedule
 
@@ -254,7 +254,7 @@ def test_generated_files_read_back(kind, steps, seed, denominator):
 
 def _read_alike(w2, edits) -> None:
     """Each file of the W2 run, edited, reads as the file itself."""
-    readers = (parse_instance, parse_trace, parse_schedule)
+    readers = (parse_instance, lambda text: parse_trace(text, scale=w2.scale), parse_schedule)
     files = (
         serialize_instance(w2),
         format_trace(run("planm", w2)[1]),
@@ -387,9 +387,14 @@ def test_lane_reads_every_line_as_the_json_path(line, t):
     t None): each reader gives what its JSON path gives."""
     arrival = "A," if t is None else f"A,{t},"
     trace = f"H,1,planm\n{arrival}{line}\nG,0/1\n"
-    with_lane = _outcome(parse_instance, line), _outcome(parse_trace, trace)
+    scale = WeightScale([])
+
+    def read_trace(text):
+        return parse_trace(text, scale=scale)
+
+    with_lane = _outcome(parse_instance, line), _outcome(read_trace, trace)
     with patch.object(model, "_PACKET_CELL", NEVER):
-        assert with_lane == (_outcome(parse_instance, line), _outcome(parse_trace, trace))
+        assert with_lane == (_outcome(parse_instance, line), _outcome(read_trace, trace))
     if with_lane[0][0] == "read":
         assert with_lane[0][1] == validate([packet_from_json(json.loads(line.strip()))])
 
@@ -411,7 +416,8 @@ def test_one_cell_one_answer(line):
     cell = line.strip()            # what the instance reader reads
     assume(len(cell.splitlines()) == 1)
     try:
-        packet = parse_trace(f"H,1,planm\nA,0,{cell}\nG,0/1\n").events[0].packet
+        text = f"H,1,planm\nA,0,{cell}\nG,0/1\n"
+        packet = parse_trace(text, scale=WeightScale([])).events[0].packet
     except TraceSyntaxError as exc:
         with pytest.raises(InstanceSyntaxError) as from_instance:
             parse_instance(cell)

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from planpack.generators import GeneratorConfig, generate
+from planpack.golden import WeightScale
 from planpack.model import Packet, validate
 from planpack.schedulers import run
 from planpack.trace_io import TraceSyntaxError, format_trace, parse_trace
@@ -14,6 +15,7 @@ from fractions import Fraction
 
 from conftest import ARRIVAL_END_EDITS, LOOSE_LEAP_EDITS, REPEATED_KEY_EDITS
 
+ONE = WeightScale([])       # D = 1: the scale of every literal trace here
 
 W2_TRACE = """\
 H,1,planm
@@ -33,7 +35,7 @@ def test_w2_trace_golden(w2):
 
 def test_w2_trace_round_trip(w2):
     _, trace = run("planm", w2)
-    parsed = parse_trace(format_trace(trace))
+    parsed = parse_trace(format_trace(trace), scale=trace.scale)
     assert parsed == trace
 
 
@@ -42,7 +44,7 @@ def test_idle_line():
     _, trace = run("planm", inst)
     text = format_trace(trace)
     assert "S,1,-,idle,-,-" in text.splitlines()
-    assert parse_trace(text) == trace
+    assert parse_trace(text, scale=trace.scale) == trace
 
 
 def test_idle_stretch_is_one_line_per_slot():
@@ -54,12 +56,12 @@ def test_idle_stretch_is_one_line_per_slot():
     text = format_trace(trace)
     idle_lines = [line for line in text.splitlines() if ",idle," in line]
     assert idle_lines == [f"S,{t},-,idle,-,-" for t in range(1, 5)]
-    assert parse_trace(text) == trace
+    assert parse_trace(text, scale=trace.scale) == trace
 
 
 def test_parse_folds_only_contiguous_plain_idle_lines():
     def stretches(*lines):
-        trace = parse_trace("\n".join(["H,1,planm", *lines, "G,0/1"]))
+        trace = parse_trace("\n".join(["H,1,planm", *lines, "G,0/1"]), scale=ONE)
         return [(ev.t, ev.p_id, ev.slots) for ev in trace.events]
 
     assert stretches("S,3,-,idle,-,-", "S,4,-,idle,-,{}", "S,5,-,idle,-,-") == [(3, None, 3)]
@@ -79,49 +81,50 @@ def test_round_trip_generated_runs(algorithm, kind):
             GeneratorConfig(kind=kind, steps=rng.randint(5, 35), seed=rng.randint(0, 999))
         )
         _, trace = run(algorithm, inst)
-        assert parse_trace(format_trace(trace)) == trace
+        assert parse_trace(format_trace(trace), scale=trace.scale) == trace
 
 
 def test_fractional_weights_round_trip():
     inst = validate([Packet(1, 0, 1, Fraction(7, 3)), Packet(2, 0, 1, Fraction(22, 7))])
     _, trace = run("planm", inst)
-    assert parse_trace(format_trace(trace)) == trace
+    assert parse_trace(format_trace(trace), scale=trace.scale) == trace
 
 
 def test_parse_errors():
     with pytest.raises(TraceSyntaxError):
-        parse_trace("")
+        parse_trace("", scale=ONE)
     with pytest.raises(TraceSyntaxError):
-        parse_trace("A,0,{}\n")                     # header missing
+        parse_trace("A,0,{}\n", scale=ONE)            # header missing
     with pytest.raises(TraceSyntaxError):
-        parse_trace("H,9,planm\nG,0/1\n")           # unknown version
+        parse_trace("H,9,planm\nG,0/1\n", scale=ONE)  # unknown version
     with pytest.raises(TraceSyntaxError):
-        parse_trace("H,1,planm\n")                  # no footer
+        parse_trace("H,1,planm\n", scale=ONE)         # no footer
     with pytest.raises(TraceSyntaxError):
-        parse_trace("H,1,planm\nG,0/1\nS,0,-,idle,-,-\n")
+        parse_trace("H,1,planm\nG,0/1\nS,0,-,idle,-,-\n", scale=ONE)
     with pytest.raises(TraceSyntaxError):
-        parse_trace("H,1,planm\nS,0,1,warp,-,-\nG,0/1\n")
+        parse_trace("H,1,planm\nS,0,1,warp,-,-\nG,0/1\n", scale=ONE)
     with pytest.raises(TraceSyntaxError):
-        parse_trace("H,1,planm\nS,0,1,ordinary,-\nG,0/1\n")
+        parse_trace("H,1,planm\nS,0,1,ordinary,-\nG,0/1\n", scale=ONE)
     with pytest.raises(TraceSyntaxError):
-        parse_trace("H,1,planm\nS,0,1,ordinary,{bad,-\nG,0/1\n")
+        parse_trace("H,1,planm\nS,0,1,ordinary,{bad,-\nG,0/1\n", scale=ONE)
     with pytest.raises(TraceSyntaxError):
-        parse_trace('H,1,planm\nA,0,{"id":1,"r":0}\nG,0/1\n')
+        parse_trace('H,1,planm\nA,0,{"id":1,"r":0}\nG,0/1\n', scale=ONE)
     with pytest.raises(TraceSyntaxError):
-        parse_trace("H,1,planm\nX,0\nG,0/1\n")
+        parse_trace("H,1,planm\nX,0\nG,0/1\n", scale=ONE)
     for weight in ("5", "null", "[1]"):                              # weight not a string
         with pytest.raises(TraceSyntaxError):
-            parse_trace(f'H,1,planm\nA,0,{{"id":1,"r":0,"d":1,"w":{weight}}}\nG,0/1\n')
+            parse_trace(f'H,1,planm\nA,0,{{"id":1,"r":0,"d":1,"w":{weight}}}\nG,0/1\n',
+                        scale=ONE)
     with pytest.raises(TraceSyntaxError):
-        parse_trace("H,1,planm\nS,0,1,ordinary,-,[1]\nG,0/1\n")   # dweights not a map
+        parse_trace("H,1,planm\nS,0,1,ordinary,-,[1]\nG,0/1\n", scale=ONE)  # dweights not a map
     with pytest.raises(TraceSyntaxError):                            # 1/7 is not over D = 1
-        parse_trace('H,1,planm\nS,0,1,ordinary,-,{"3":"1/7(+1)"}\nG,0/1\n')
+        parse_trace('H,1,planm\nS,0,1,ordinary,-,{"3":"1/7(+1)"}\nG,0/1\n', scale=ONE)
     deep = "[" * 100_000 + "]" * 100_000                             # past the recursion limit
     huge = "9" * 5000                                                # past the digit limit
     for line in (f"A,0,{deep}", f"S,0,1,ordinary,{deep},-", f"S,0,1,ordinary,-,{deep}",
                  f"A,0,{huge}", f"S,0,1,ordinary,{huge},-"):
         with pytest.raises(TraceSyntaxError, match="trace line 2: bad JSON cell"):
-            parse_trace(f"H,1,planm\n{line}\nG,0/1\n")
+            parse_trace(f"H,1,planm\n{line}\nG,0/1\n", scale=ONE)
 
 
 @pytest.mark.parametrize("canonical, lenient", [
@@ -149,7 +152,7 @@ def test_numbers_off_the_grammar_rejected(canonical, lenient):
     text = W2_TRACE.replace(canonical, lenient)
     lineno = next(i for i, line in enumerate(text.splitlines(), 1) if lenient in line)
     with pytest.raises(TraceSyntaxError) as exc:
-        parse_trace(text)
+        parse_trace(text, scale=ONE)
     assert exc.value.line == lineno
 
 
@@ -161,9 +164,9 @@ def test_loose_leap_record_rejected(leap_chain, canonical, lenient):
     _, trace = run("planm", leap_chain)
     text = format_trace(trace)
     assert text.count(canonical) == 1
-    assert parse_trace(text) == trace
+    assert parse_trace(text, scale=trace.scale) == trace
     with pytest.raises(TraceSyntaxError) as exc:
-        parse_trace(text.replace(canonical, lenient))
+        parse_trace(text.replace(canonical, lenient), scale=trace.scale)
     assert exc.value.line == 6
 
 
@@ -179,7 +182,7 @@ def test_repeated_json_key_rejected(canonical, repeated):
     text = W2_TRACE.replace(canonical, repeated)
     lineno = next(i for i, line in enumerate(text.splitlines(), 1) if repeated in line)
     with pytest.raises(TraceSyntaxError, match="a key repeats") as exc:
-        parse_trace(text)
+        parse_trace(text, scale=ONE)
     assert exc.value.line == lineno
 
 
@@ -190,11 +193,11 @@ def test_arrival_cell_must_end_the_line(canonical, edited):
     or cell, is refused at that line."""
     assert W2_TRACE.count(canonical) == 1
     with pytest.raises(TraceSyntaxError) as exc:
-        parse_trace(W2_TRACE.replace(canonical, edited))
+        parse_trace(W2_TRACE.replace(canonical, edited), scale=ONE)
     assert exc.value.line == 3
 
 
 def test_error_carries_line_number():
     with pytest.raises(TraceSyntaxError) as exc:
-        parse_trace("H,1,planm\nS,0,1,warp,-,-\nG,0/1\n")
+        parse_trace("H,1,planm\nS,0,1,warp,-,-\nG,0/1\n", scale=ONE)
     assert exc.value.line == 2

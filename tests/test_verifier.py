@@ -232,7 +232,7 @@ class TestIdleStretches:
         mutant = edit(text)
         assert mutant != text
         with pytest.raises(TraceMismatch, match=message):
-            verify_trace(inst, parse_trace(mutant), opt)
+            verify_trace(inst, parse_trace(mutant, scale=inst.scale), opt)
 
     @pytest.mark.parametrize("stretch, message", [
         ([idle(2, 9)], "slots 2..10 != .* slots 2..9"),
@@ -718,8 +718,10 @@ class TestRejection:
         arrival = 'A,0,{"id":1,"r":0,"d":0,"w":"1/3"}\n'
         text = format_trace(trace)
         assert arrival in text
-        mutant = parse_trace(text.replace(arrival, arrival.replace("1/3", "1/6")))
-        with pytest.raises(TraceMismatch, match="common denominator"):
+        mutant = parse_trace(
+            text.replace(arrival, arrival.replace("1/3", "1/6")), scale=inst.scale
+        )
+        with pytest.raises(TraceMismatch, match='"w":"1/6"} != A,0,.*"w":"1/3"}; event=0'):
             verify_trace(inst, mutant, optimal_schedule(inst))
 
     def test_overfull_backup_pool(self, w2):
